@@ -21,7 +21,9 @@ from .errors import (
     BudgetExceededError,
     ConstraintError,
     InputError,
+    InternalError,
     ParseError,
+    RefinementError,
     UndefinedConductanceError,
 )
 from .io import ClusterReport, parse_arb_simplices, parse_edge_list, read_report, write_report
@@ -51,9 +53,11 @@ __all__ = [
     "Hyperedge",
     "Hypergraph",
     "InputError",
+    "InternalError",
     "MotifOccurrence",
     "MotifPattern",
     "ParseError",
+    "RefinementError",
     "RunConfig",
     "UndefinedConductanceError",
     "bfs_balls",

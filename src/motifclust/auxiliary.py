@@ -5,6 +5,12 @@ nodes; everything outside the ball is contracted into a single fresh node u.
 Parallel crossing hyperedges merge with weight = number of occurrences they
 represent, so the total hyperedge weight always equals |M|. All nodes carry
 equal (unit) weight for balancing purposes.
+
+Every hyperedge has 2 or 3 pins, and a cut hyperedge of weight w splits
+exactly two of its pairs when it has 3 pins and its one pair when it has 2.
+So the hypergraph also carries the doubled pair graph W: each 3-pin edge adds
+w to each of its pairs and each 2-pin edge adds 2w to its pair. For every
+2-way split, cut-net = cut_W / 2 (Benson, Gleich & Leskovec, Science 2016).
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ COMPLEMENT = "complement"  # back_map symbol for the contracted node u
 
 
 class AuxHypergraph:
-    """Weighted hypergraph on ball nodes 0..u-1 plus the contracted node u."""
+    """Weighted hypergraph on ball nodes 0..u-1 plus the contracted node u.
+
+    ``pairs`` lists the doubled pair graph W as (a, b, weight) with a < b, in
+    order of first appearance, and ``neighbors[v]`` holds v's (x, weight)
+    entries of W.
+    """
 
     def __init__(
         self,
@@ -34,11 +45,14 @@ class AuxHypergraph:
         mem_list: list[tuple[int, ...]] = []
         weights: list[int] = []
         seen: set[tuple[int, ...]] = set()
-        incidence: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        pair_weight: dict[tuple[int, int], int] = {}
+        get = pair_weight.get
         for members, weight in edges:
             mem = tuple(members)
             if len(mem) < 2 or any(mem[i] >= mem[i + 1] for i in range(len(mem) - 1)):
                 raise InputError(f"aux hyperedge members must be >= 2 strictly increasing: {mem!r}")
+            if len(mem) > 3:
+                raise InputError(f"aux hyperedge {mem!r} has more than 3 pins")
             if mem[0] < 0 or mem[-1] > self.u:
                 raise InputError(f"aux hyperedge {mem!r} out of node range 0..{self.u}")
             if mem in seen:
@@ -46,14 +60,23 @@ class AuxHypergraph:
             if weight < 1:
                 raise InputError(f"aux hyperedge weight must be a positive integer, got {weight}")
             seen.add(mem)
-            idx = len(mem_list)
             mem_list.append(mem)
-            weights.append(int(weight))
-            for v in mem:
-                incidence[v].append(idx)
+            w = int(weight)
+            weights.append(w)
+            if len(mem) == 2:
+                pair_weight[mem] = get(mem, 0) + 2 * w
+            else:
+                a, b, c = mem
+                for pair in ((a, b), (a, c), (b, c)):
+                    pair_weight[pair] = get(pair, 0) + w
         self._members = tuple(mem_list)
         self._weights = tuple(weights)
-        self._incidence = tuple(tuple(lst) for lst in incidence)
+        self.pairs = tuple((a, b, w) for (a, b), w in pair_weight.items())
+        neighbors: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        for a, b, w in self.pairs:
+            neighbors[a].append((b, w))
+            neighbors[b].append((a, w))
+        self.neighbors = tuple(map(tuple, neighbors))
         self.seed_nodes = frozenset(seed_nodes)
         if not self.seed_nodes:
             raise InputError("aux hypergraph needs at least one seed node")
@@ -70,18 +93,9 @@ class AuxHypergraph:
     def num_edges(self) -> int:
         return len(self._members)
 
-    def edge_members(self, i: int) -> tuple[int, ...]:
-        return self._members[i]
-
-    def weight(self, i: int) -> int:
-        return self._weights[i]
-
     @property
     def edges(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple(zip(self._members, self._weights))
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return self._incidence[v]
 
     def total_weight(self) -> int:
         return sum(self._weights)

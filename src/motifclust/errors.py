@@ -28,3 +28,11 @@ class UndefinedConductanceError(ArithmeticError):
 
 class BudgetExceededError(RuntimeError):
     """A brute-force oracle or global enumeration was asked to exceed its size budget."""
+
+
+class InternalError(RuntimeError):
+    """A library invariant failed: a bug in motifclust, never bad caller input."""
+
+
+class RefinementError(InternalError):
+    """fm_refine ended with a larger cut than it started from."""

@@ -1,11 +1,12 @@
 """Phase four: 2-way cut-net partitioning of the auxiliary hypergraph.
 
-Fiduccia-Mattheyses refinement with per-hyperedge pin counts and a lazy
-max-gain heap, restarted under randomized imbalance. Block 0 is the cluster
-side (holds the seed nodes); block 1 holds the contracted node u. The
-contracted node never moves; seed handling is either a post-hoc move
-(seeds free during refinement, moved back afterwards, the default) or
-fixed-vertex (seeds pinned throughout).
+Every aux hyperedge has at most 3 pins, so its cut-net is half the cut of the
+doubled pair graph W the hypergraph carries (see ``auxiliary``). Refinement is
+Fiduccia-Mattheyses on W, with one lazy max-gain heap per block, restarted
+under randomized imbalance. Block 0 is the cluster side (holds the seed
+nodes); block 1 holds the contracted node u. The contracted node never moves;
+seed handling is either a post-hoc move (seeds free during refinement, moved
+back afterwards, the default) or fixed-vertex (seeds pinned throughout).
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .auxiliary import AuxHypergraph
-from .errors import ConstraintError, InputError, UndefinedConductanceError
+from .errors import ConstraintError, InputError, RefinementError, UndefinedConductanceError
 
 Blocks = list[int]
-
-# diagnostic counter: number of fm_refine calls that ended worse than they
-# started (must stay 0; checked by the acceptance suite)
-refine_violations = 0
 
 
 def size_bound(num_nodes: int, eps: float) -> int:
@@ -44,15 +41,9 @@ def _check_blocks(aux: AuxHypergraph, blocks: Sequence[int]) -> None:
 
 
 def cut_net(aux: AuxHypergraph, blocks: Sequence[int]) -> int:
-    """Total weight of aux hyperedges with members in both blocks."""
+    """Total weight of aux hyperedges with members in both blocks: cut_W / 2."""
     _check_blocks(aux, blocks)
-    total = 0
-    for i in range(aux.num_edges):
-        mem = aux.edge_members(i)
-        first = blocks[mem[0]]
-        if any(blocks[v] != first for v in mem[1:]):
-            total += aux.weight(i)
-    return total
+    return sum(w for a, b, w in aux.pairs if blocks[a] != blocks[b]) // 2
 
 
 def is_consistent(aux: AuxHypergraph, blocks: Sequence[int]) -> bool:
@@ -105,25 +96,6 @@ def random_feasible_partition(
     return blocks
 
 
-def _initial_gains(
-    aux: AuxHypergraph, blocks: Sequence[int], pins: list[list[int]], movable: Iterable[int]
-) -> dict[int, int]:
-    gains: dict[int, int] = {}
-    for v in movable:
-        mine = blocks[v]
-        g = 0
-        for ei in aux.incident_edges(v):
-            w = aux.weight(ei)
-            p_mine = pins[ei][mine]
-            p_other = pins[ei][1 - mine]
-            if p_other > 0:
-                g += w
-            if p_mine > 1:
-                g -= w
-        gains[v] = g
-    return gains
-
-
 def fm_refine(
     aux: AuxHypergraph,
     blocks: Sequence[int],
@@ -134,97 +106,100 @@ def fm_refine(
 ) -> Blocks:
     """FM passes: move the best-gain unlocked node that keeps the size bound,
     lock it, and roll back to the best prefix at pass end. Stops when a pass
-    brings no improvement. Never returns a worse cut than it received.
+    brings no improvement. Never returns a worse cut than it received; a
+    worse cut raises RefinementError.
+
+    Gains are taken on the pair graph W, where they are exactly twice the
+    cut-net gains, so the move order (max gain, ties to the smaller id) is
+    the cut-net one. Whether a move is feasible depends only on the mover's
+    block, so each block keeps its own lazy heap of (-gain, node) and a block
+    that may not give up a node is not scanned. An entry is pushed when a
+    gain rises; when a gain falls, the node's older entry surfaces early and
+    is re-pushed then. Every free node thus has an entry no larger than its
+    key, so the first entry that matches its node's key is the block's best
+    move.
 
     By default u and the seed nodes are not movable; a caller may widen
     ``movable`` (u is excluded regardless). ``observer(event, blocks, moved,
     cut)`` is called with event "pass" at each pass start and "move" after
-    each committed move (before any rollback); observers must not mutate
-    ``blocks``.
+    each committed move (before any rollback), with the cut in cut-net units;
+    observers must not mutate ``blocks``.
     """
     blocks = list(blocks)
-    _check_blocks(aux, blocks)
+    initial_cut = 2 * cut_net(aux, blocks)  # W units from here on
     bound = size_bound(aux.num_nodes, eps)
     if movable is None:
         movable_set = frozenset(range(aux.num_nodes)) - {aux.u} - aux.seed_nodes
     else:
         movable_set = frozenset(movable) - {aux.u}
-    initial_cut = cut_net(aux, blocks)
+    nbrs = aux.neighbors
+    n = len(blocks)
+    push = heapq.heappush
+    pop = heapq.heappop
+    heapreplace = heapq.heapreplace
     cur = initial_cut
     for _ in range(max_passes):
         if observer is not None:
-            observer("pass", blocks, None, cur)
-        pins = [[0, 0] for _ in range(aux.num_edges)]
-        for ei in range(aux.num_edges):
-            for v in aux.edge_members(ei):
-                pins[ei][blocks[v]] += 1
-        counts = [len(blocks) - sum(blocks), sum(blocks)]
-        gains = _initial_gains(aux, blocks, pins, movable_set)
-        heap = [(-g, v) for v, g in gains.items()]
-        heapq.heapify(heap)
-        locked: set[int] = set()
+            observer("pass", blocks, None, cur >> 1)
+        ones = sum(blocks)
+        counts = [n - ones, ones]
+        key = [0] * n  # negated W gain
+        free = [False] * n  # movable and not yet moved in this pass
+        heaps: tuple[list, list] = ([], [])
+        for v in movable_set:
+            side = blocks[v]
+            k = 0
+            for x, w in nbrs[v]:
+                if blocks[x] == side:
+                    k += w
+                else:
+                    k -= w
+            key[v] = k
+            free[v] = True
+            heaps[side].append((k, v))
+        heapq.heapify(heaps[0])
+        heapq.heapify(heaps[1])
         trail: list[int] = []
         best_cut = cur
         best_len = 0
         while True:
-            stash = []
             chosen = None
-            while heap:
-                negg, v = heapq.heappop(heap)
-                if v in locked or -negg != gains[v]:
-                    continue  # stale entry
+            for side in (0, 1):
                 # a move must respect the size bound and may not empty a block
-                if counts[1 - blocks[v]] + 1 > bound or counts[blocks[v]] == 1:
-                    stash.append((negg, v))
+                if counts[1 - side] >= bound or counts[side] == 1:
                     continue
-                chosen = (v, -negg)
-                break
-            for item in stash:
-                heapq.heappush(heap, item)
+                heap = heaps[side]
+                while heap:
+                    k, v = heap[0]
+                    if not free[v]:
+                        pop(heap)
+                    elif k != key[v]:
+                        heapreplace(heap, (key[v], v))  # surfaced before its key rose
+                    else:
+                        if chosen is None or heap[0] < chosen:
+                            chosen = heap[0]
+                        break
             if chosen is None:
                 break
-            v, gain = chosen
+            k, v = chosen
             f = blocks[v]
-            t = 1 - f
-            for ei in aux.incident_edges(v):
-                w = aux.weight(ei)
-                mem = aux.edge_members(ei)
-                pf = pins[ei][f]
-                pt = pins[ei][t]
-                if pt == 0:
-                    for x in mem:
-                        if x != v and x not in locked and x in gains:
-                            gains[x] += w
-                            heapq.heappush(heap, (-gains[x], x))
-                elif pt == 1:
-                    for x in mem:
-                        if x != v and blocks[x] == t:
-                            if x not in locked and x in gains:
-                                gains[x] -= w
-                                heapq.heappush(heap, (-gains[x], x))
-                            break
-                pins[ei][f] = pf - 1
-                pins[ei][t] = pt + 1
-                if pf - 1 == 0:
-                    for x in mem:
-                        if x != v and x not in locked and x in gains:
-                            gains[x] -= w
-                            heapq.heappush(heap, (-gains[x], x))
-                elif pf - 1 == 1:
-                    for x in mem:
-                        if x != v and blocks[x] == f:
-                            if x not in locked and x in gains:
-                                gains[x] += w
-                                heapq.heappush(heap, (-gains[x], x))
-                            break
-            blocks[v] = t
+            stay = heaps[f]
+            pop(stay)
+            free[v] = False
+            for x, w in nbrs[v]:
+                if free[x]:
+                    if blocks[x] == f:
+                        key[x] -= 2 * w
+                        push(stay, (key[x], x))
+                    else:
+                        key[x] += 2 * w
+            blocks[v] = 1 - f
             counts[f] -= 1
-            counts[t] += 1
-            cur -= gain
-            locked.add(v)
+            counts[1 - f] += 1
+            cur += k
             trail.append(v)
             if observer is not None:
-                observer("move", blocks, v, cur)
+                observer("move", blocks, v, cur >> 1)
             if cur < best_cut:
                 best_cut = cur
                 best_len = len(trail)
@@ -234,10 +209,8 @@ def fm_refine(
         if best_len == 0:
             break
     if cur > initial_cut:
-        global refine_violations
-        refine_violations += 1
-        raise AssertionError(
-            f"fm_refine worsened the cut: {initial_cut} -> {cur}"
+        raise RefinementError(
+            f"fm_refine worsened the cut: {initial_cut >> 1} -> {cur >> 1}"
         )
     return blocks
 
@@ -255,10 +228,14 @@ class RatioObjective:
         self.node_volumes = tuple(node_volumes)
         self.min_side_total = min_side_total
 
+    def denominator(self, vol0: int) -> int:
+        """The conductance denominator of a state with block-0 volume vol0."""
+        if self.min_side_total is None:
+            return vol0
+        return min(vol0, self.min_side_total - vol0)
+
     def phi(self, cut: int, vol0: int) -> Fraction | None:
-        denom = vol0
-        if self.min_side_total is not None:
-            denom = min(vol0, self.min_side_total - vol0)
+        denom = self.denominator(vol0)
         if denom <= 0:
             return None
         return Fraction(cut, denom)
@@ -297,22 +274,14 @@ def partition_search(
     if seed_mode == "posthoc":
         movable = frozenset(range(aux.num_nodes)) - {aux.u}
     run_seeds = [rng.randrange(2**63) for _ in range(beta)]
-    best_key: tuple | None = None
-    best_blocks: Blocks | None = None
-
-    def consider(key: tuple, blocks: Sequence[int]) -> None:
-        nonlocal best_key, best_blocks
-        if best_key is None or key < best_key:
-            best_key = key
-            best_blocks = list(blocks)
-
+    best = _Best()
     for i, run_seed in enumerate(run_seeds):
         r = random.Random(run_seed)
         eps = lo if lo == hi else r.uniform(lo, hi)
         init = random_feasible_partition(aux, eps, r)
         observer = None
         if ratio is not None:
-            observer = _StateScorer(aux, ratio, i, consider)
+            observer = _StateScorer(aux, ratio, i, best)
         refined = fm_refine(
             aux, init, eps, max_passes=max_passes, movable=movable, observer=observer
         )
@@ -321,23 +290,39 @@ def partition_search(
             phi = evaluator(final)
         except UndefinedConductanceError:
             continue
-        consider((phi, cut_net(aux, final), len(final) - sum(final), i), final)
-    if best_blocks is None:
+        best.consider((phi, cut_net(aux, final), len(final) - sum(final), i), final)
+    if best.blocks is None:
         return None
-    return best_blocks, best_key[0]
+    return best.blocks, best.key[0]
+
+
+class _Best:
+    """The search's smallest (phi, cut-net, block-0 size, run) key so far and
+    the blocks that reached it."""
+
+    __slots__ = ("key", "blocks")
+
+    def __init__(self):
+        self.key: tuple | None = None
+        self.blocks: Blocks | None = None
+
+    def consider(self, key: tuple, blocks: Sequence[int]) -> None:
+        if self.key is None or key < self.key:
+            self.key = key
+            self.blocks = list(blocks)
 
 
 class _StateScorer:
     """fm_refine observer: tracks (cut, block-0 volume, stray seeds, block-0
     size) incrementally and offers every consistent state to the search."""
 
-    __slots__ = ("aux", "ratio", "run", "consider", "vol0", "size0", "displaced", "seeds")
+    __slots__ = ("aux", "ratio", "run", "best", "vol0", "size0", "displaced", "seeds")
 
-    def __init__(self, aux: AuxHypergraph, ratio: RatioObjective, run: int, consider):
+    def __init__(self, aux: AuxHypergraph, ratio: RatioObjective, run: int, best: _Best):
         self.aux = aux
         self.ratio = ratio
         self.run = run
-        self.consider = consider
+        self.best = best
         self.seeds = aux.seed_nodes
         self.vol0 = 0
         self.size0 = 0
@@ -362,6 +347,10 @@ class _StateScorer:
                     self.displaced += 1
         if self.displaced:
             return
-        phi = self.ratio.phi(cut, self.vol0)
-        if phi is not None:
-            self.consider((phi, cut, self.size0, self.run), blocks)
+        denom = self.ratio.denominator(self.vol0)
+        if denom <= 0:
+            return
+        key = self.best.key
+        if key is not None and cut * key[0].denominator > key[0].numerator * denom:
+            return  # cut / denom is above the best phi so far
+        self.best.consider((Fraction(cut, denom), cut, self.size0, self.run), blocks)

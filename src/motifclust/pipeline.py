@@ -29,7 +29,7 @@ from .auxiliary import AuxHypergraph, build_aux
 from .balls import Ball, bfs_balls, core_ball
 from .conductance import verify_volume_assumption
 from .core import Hypergraph
-from .errors import InputError, UndefinedConductanceError
+from .errors import InputError, InternalError, UndefinedConductanceError
 from .motifs import MotifPattern, enumerate_motifs, motif_degrees
 from .partition import RatioObjective, cut_net, partition_search
 
@@ -132,7 +132,10 @@ def resolve_seed_edges(
     H = parsed.hypergraph
     text = str(spec).strip()
     if text.startswith("random:"):
-        k = int(text.split(":", 1)[1])
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"cannot parse random seed count in {spec!r}") from None
         if k < 1:
             raise InputError(f"random seed count must be >= 1, got {k}")
         if k > H.num_edges:
@@ -301,7 +304,10 @@ def run_local_clustering(
             volume_used = min(vol_cluster, total3 - vol_cluster)
         else:
             volume_used = vol_cluster
-        assert volume_used > 0 and phi == Fraction(best["cut"], volume_used)
+        if volume_used <= 0 or phi != Fraction(best["cut"], volume_used):
+            raise InternalError(
+                f"search phi {phi} does not match cut {best['cut']} over volume {volume_used}"
+            )
         report.status = "ok"
         report.cluster = sorted(parsed.labels[v] for v in cluster_ids)
         report.cluster_size = len(cluster_ids)

@@ -4,7 +4,9 @@ import pytest
 
 from motifclust import (
     COMPLEMENT,
+    AuxHypergraph,
     ConstraintError,
+    InputError,
     MotifOccurrence,
     MotifPattern,
     build_aux,
@@ -38,7 +40,19 @@ def test_build_aux_all_inside_leaves_u_isolated():
     M = [occ(0, 1, 2)]
     aux = build_aux(M, {0, 1, 2}, [0, 1, 2])
     assert all(aux.u not in members for members, _ in aux.edges)
-    assert aux.incident_edges(aux.u) == ()
+    assert aux.neighbors[aux.u] == ()
+
+
+def test_aux_pair_graph_doubles_weights():
+    aux = AuxHypergraph(3, [((0, 1, 2), 2), ((2, 3), 3)], seed_nodes=[0])
+    assert aux.pairs == ((0, 1, 2), (0, 2, 2), (1, 2, 2), (2, 3, 6))
+    assert aux.neighbors[2] == ((0, 2), (1, 2), (3, 6))
+
+
+def test_aux_rejects_more_than_three_pins():
+    # cut-net equals half the pair-graph cut only for hyperedges of <= 3 pins
+    with pytest.raises(InputError):
+        AuxHypergraph(4, [((0, 1, 2, 3), 1)], seed_nodes=[0])
 
 
 def test_build_aux_rejects_outside_occurrence():

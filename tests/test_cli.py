@@ -57,6 +57,19 @@ def test_cluster_command_input_error_exit_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_cluster_command_bad_random_count_exit_2(tmp_path):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    runner = CliRunner()
+    result = runner.invoke(
+        main,
+        ["cluster", "--input", str(data), "--motif", "3", "--seed-edge", "random:x",
+         "--output", str(tmp_path / "r.json")],
+    )
+    assert result.exit_code == 2
+    assert "cannot parse random seed count in 'random:x'" in result.output
+
+
 def test_cluster_command_no_motifs_exit_3(tmp_path):
     data = tmp_path / "toy.txt"
     write_toy(data)
