@@ -13,8 +13,8 @@ from .conductance import (
     ConductanceResult,
     conductance_direct,
     conductance_via_aux,
+    motif_conductance,
     motif_cut,
-    verify_volume_assumption,
 )
 from .core import Hyperedge, Hypergraph
 from .errors import (
@@ -27,7 +27,14 @@ from .errors import (
     UndefinedConductanceError,
 )
 from .io import ClusterReport, parse_arb_simplices, parse_edge_list, read_report, write_report
-from .motifs import MotifOccurrence, MotifPattern, classify_triple, enumerate_motifs, motif_degrees
+from .motifs import (
+    MotifOccurrence,
+    MotifPattern,
+    classify_triple,
+    count_motifs,
+    enumerate_motifs,
+    motif_degrees,
+)
 from .partition import (
     cut_net,
     enforce_consistency,
@@ -67,12 +74,14 @@ __all__ = [
     "conductance_direct",
     "conductance_via_aux",
     "core_ball",
+    "count_motifs",
     "cut_net",
     "dump_aux",
     "enforce_consistency",
     "enumerate_motifs",
     "fm_refine",
     "is_consistent",
+    "motif_conductance",
     "motif_cut",
     "motif_degrees",
     "nbr_core_decomposition",
@@ -83,6 +92,5 @@ __all__ = [
     "read_report",
     "run_benchmark",
     "run_local_clustering",
-    "verify_volume_assumption",
     "write_report",
 ]

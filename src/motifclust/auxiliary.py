@@ -100,10 +100,6 @@ class AuxHypergraph:
     def total_weight(self) -> int:
         return sum(self._weights)
 
-    def original_nodes(self, aux_nodes: Iterable[int]) -> list:
-        """Map aux ids back to original node ids (u maps to COMPLEMENT)."""
-        return [self.back_map[a] for a in aux_nodes]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AuxHypergraph(ball={self.u}, m={self.num_edges})"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import Hypergraph, canonical_members
 from .errors import InputError
@@ -100,33 +100,6 @@ def _require_seed_edge(H: Hypergraph, seed: Iterable[int]) -> tuple[int, ...]:
     return members
 
 
-def _component_within(
-    H: Hypergraph, start: Sequence[int], allowed: frozenset[int] | set[int]
-) -> frozenset[int]:
-    """Connected component of ``start`` in the strongly-induced subhypergraph
-    on ``allowed`` (edges are traversed only when fully contained in it)."""
-    visited = set(start)
-    frontier = list(start)
-    edge_done = bytearray(H.num_edges)
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for ei in H.incident_edges(v):
-                if edge_done[ei]:
-                    continue
-                mem = H.edge(ei).members
-                if not all(u in allowed for u in mem):
-                    edge_done[ei] = 1  # dead for this level set either way
-                    continue
-                edge_done[ei] = 1
-                for u in mem:
-                    if u not in visited:
-                        visited.add(u)
-                        nxt.append(u)
-        frontier = nxt
-    return frozenset(visited)
-
-
 def core_ball(
     H: Hypergraph,
     seed: Iterable[int],
@@ -148,8 +121,7 @@ def core_ball(
     comp: frozenset[int] = frozenset(members)
     used_k = k_star
     for k in range(k_star, 0, -1):
-        allowed = decomp.level_set(k)
-        comp = _component_within(H, members, allowed)
+        comp = H.connected_component(members, within=decomp.level_set(k))
         used_k = k
         if len(comp) >= min_size:
             break

@@ -38,13 +38,12 @@ def main() -> None:
 @click.option("--eps-min", type=float, default=0.03, show_default=True)
 @click.option("--eps-max", type=float, default=0.5, show_default=True)
 @click.option("--scope", type=click.Choice(["exact", "paper"]), default="exact", show_default=True)
-@click.option("--verify-assumption", is_flag=True, help="Globally verify d_mu(B) <= d_mu(complement).")
 @click.option("--rng-seed", type=int, default=0, show_default=True)
 @click.option("--output", required=True, help="Report path (JSON), or '-' for stdout.")
 @click.option("--dataset", default=None, help="Dataset name for the report (defaults to the input filename).")
 def cluster(
     input_path, fmt, method, motif, seed_edge, alpha, beta, min_ball,
-    eps_min, eps_max, scope, verify_assumption, rng_seed, output, dataset,
+    eps_min, eps_max, scope, rng_seed, output, dataset,
 ) -> None:
     """Run the four-phase local clustering pipeline once and write a report."""
     config = RunConfig(
@@ -59,7 +58,6 @@ def cluster(
         eps_min=eps_min,
         eps_max=eps_max,
         scope=scope,
-        verify_assumption=verify_assumption,
         rng_seed=rng_seed,
         output=None if output == "-" else output,
         dataset=dataset,

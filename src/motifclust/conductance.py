@@ -1,10 +1,13 @@
 """Motif-cut and motif-conductance evaluation.
 
-Two routes: directly over an occurrence collection (the oracle/testing path)
-and through the auxiliary hypergraph, whose cut-net equals the motif-cut and
-whose block-0 motif volume is the conductance denominator whenever the ball's
-motif volume does not exceed its complement's. All arithmetic is exact
-(fractions); rendering to decimals happens only in reports.
+``motif_conductance`` is the one definition the pipeline scores with:
+cut / min(d_mu(C), d_mu(V - C)), where d_mu(V - C) is the global motif volume
+3|M| (from ``motifs.count_motifs``) minus d_mu(C). Two routes reach it: the
+auxiliary hypergraph, whose cut-net equals the motif-cut and whose block-0
+motif volume is d_mu(C), and, independently, ``conductance_direct`` over a
+global occurrence collection, the oracle the tests compare against. All
+arithmetic is exact (fractions); rendering to decimals happens only in
+reports.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .auxiliary import AuxHypergraph
-from .errors import BudgetExceededError, ConstraintError, UndefinedConductanceError
-from .motifs import MotifOccurrence, MotifPattern, enumerate_motifs, motif_degrees
-from .partition import cut_net
+from .errors import ConstraintError, InputError, UndefinedConductanceError
+from .motifs import MotifOccurrence
 
 
 class ConductanceResult:
@@ -34,6 +36,33 @@ class ConductanceResult:
             f"ConductanceResult(phi={self.phi}, cut={self.motif_cut}, "
             f"volume={self.volume_used}, side={self.side!r})"
         )
+
+
+def _check_blocks(aux: AuxHypergraph, blocks: Sequence[int]) -> None:
+    if len(blocks) != aux.num_nodes:
+        raise InputError(f"partition covers {len(blocks)} nodes, aux has {aux.num_nodes}")
+    ones = sum(blocks)
+    if any(b not in (0, 1) for b in blocks):
+        raise InputError("block values must be 0 or 1")
+    if ones == 0 or ones == len(blocks):
+        raise ConstraintError("both blocks must be nonempty")
+
+
+def cut_net(aux: AuxHypergraph, blocks: Sequence[int]) -> int:
+    """Total weight of aux hyperedges with members in both blocks: cut_W / 2."""
+    _check_blocks(aux, blocks)
+    return sum(w for a, b, w in aux.pairs if blocks[a] != blocks[b]) // 2
+
+
+def motif_conductance(cut: int, vol0: int, total: int) -> Fraction | None:
+    """cut / min(vol0, total - vol0): the motif conductance of a cluster with
+    motif volume ``vol0`` when ``total`` is the hypergraph's whole motif
+    volume, three times its occurrence count. None when that minimum is not
+    positive (the cluster, or its complement, holds no motif volume)."""
+    denom = min(vol0, total - vol0)
+    if denom <= 0:
+        return None
+    return Fraction(cut, denom)
 
 
 def motif_cut(M: Iterable[MotifOccurrence], cluster: Iterable[int]) -> int:
@@ -82,14 +111,16 @@ def conductance_direct(
 
 
 def conductance_via_aux(
-    aux: AuxHypergraph, blocks: Sequence[int], dmu: Mapping[int, int]
+    aux: AuxHypergraph, blocks: Sequence[int], dmu: Mapping[int, int], total: int
 ) -> ConductanceResult:
-    """Contracted route: aux cut-net over the block-0 motif volume.
+    """Contracted route: aux cut-net over the smaller motif volume side.
 
     ``dmu`` maps original node ids to motif degrees (as from motif_degrees on
-    the ball-touching occurrence collection). Equals conductance_direct of the
-    mapped-back cluster whenever d_mu(cluster) <= d_mu(complement) and the
-    enumeration was exact. Requires u in block 1.
+    the ball-touching occurrence collection) and ``total`` is the global
+    motif volume, three times the pattern's occurrence count. Equals
+    conductance_direct of the mapped-back cluster whenever the enumeration
+    was exact and the split is defined; raises UndefinedConductanceError when
+    either side has zero motif volume. Requires u in block 1.
     """
     if blocks[aux.u] != 1:
         raise ConstraintError("conductance_via_aux requires u in block 1")
@@ -98,30 +129,9 @@ def conductance_via_aux(
     for a in range(aux.u):
         if blocks[a] == 0:
             vol0 += dmu.get(aux.back_map[a], 0)
-    if vol0 == 0:
-        raise UndefinedConductanceError("block 0 participates in no motif occurrence")
-    return ConductanceResult(Fraction(cut, vol0), cut, vol0, "cluster")
-
-
-def verify_volume_assumption(
-    H,
-    ball,
-    pattern: MotifPattern,
-    max_nodes: int = 20000,
-    force: bool = False,
-) -> bool:
-    """Check d_mu(B) <= d_mu(complement of B) by global enumeration.
-
-    Refused (BudgetExceededError) above ``max_nodes`` unless ``force`` is set,
-    since global enumeration defeats the locality of the pipeline.
-    """
-    if H.n > max_nodes and not force:
-        raise BudgetExceededError(
-            f"global enumeration over {H.n} nodes exceeds the {max_nodes}-node "
-            "threshold; pass force=True to override"
-        )
-    B = frozenset(getattr(ball, "nodes", ball))
-    M_global = enumerate_motifs(H, frozenset(range(H.n)), pattern, scope="exact")
-    degrees = motif_degrees(M_global)
-    vol_b = sum(degrees.get(v, 0) for v in B)
-    return vol_b <= 3 * len(M_global) - vol_b
+    phi = motif_conductance(cut, vol0, total)
+    if phi is None:
+        raise UndefinedConductanceError("a side of the split has zero motif volume")
+    if vol0 <= total - vol0:
+        return ConductanceResult(phi, cut, vol0, "cluster")
+    return ConductanceResult(phi, cut, total - vol0, "complement")

@@ -58,16 +58,10 @@ class Hypergraph:
     """Immutable node/hyperedge store with an incidence index.
 
     ``incidence[v]`` lists the indices of hyperedges containing ``v``, so the
-    node degree is ``len(incidence[v])``. Node weights are carried but unused
-    by any balance constraint.
+    node degree is ``len(incidence[v])``.
     """
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Hyperedge | Sequence[int]],
-        node_weights: Sequence[Fraction] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[Hyperedge | Sequence[int]]):
         if n < 0:
             raise InputError(f"node count must be >= 0, got {n}")
         self._n = n
@@ -87,14 +81,6 @@ class Hypergraph:
                 incidence[v].append(idx)
         self._edges: tuple[Hyperedge, ...] = tuple(norm)
         self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
-        if node_weights is not None:
-            if len(node_weights) != n:
-                raise InputError("node_weights length must equal n")
-            if any(w <= 0 for w in node_weights):
-                raise InputError("node weights must be positive")
-            self._node_weights = tuple(Fraction(w) for w in node_weights)
-        else:
-            self._node_weights = None
         # lazy caches (pure values; racy double-compute is benign)
         self._nbr_cache: dict[int, frozenset[int]] = {}
         self._small_index: tuple[frozenset, frozenset, dict, tuple] | None = None
@@ -137,10 +123,6 @@ class Hypergraph:
 
     def max_degree(self) -> int:
         return max((len(inc) for inc in self._incidence), default=0)
-
-    def node_weight(self, v: int) -> Fraction:
-        self._check_node(v)
-        return Fraction(1) if self._node_weights is None else self._node_weights[v]
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
@@ -198,19 +180,24 @@ class Hypergraph:
                     Hyperedge(tuple(new_id[v] for v in e.members), e.weight)
                 )
                 edge_map.append(i)
-        weights = None
-        if self._node_weights is not None:
-            weights = [self._node_weights[v] for v in kept]
-        sub = Hypergraph(len(kept), sub_edges, weights)
+        sub = Hypergraph(len(kept), sub_edges)
         return sub, tuple(kept), tuple(edge_map)
 
-    def connected_component(self, start: Iterable[int]) -> frozenset[int]:
-        """All nodes reachable from ``start`` via shared-hyperedge adjacency."""
+    def connected_component(
+        self, start: Iterable[int], within: Iterable[int] | None = None
+    ) -> frozenset[int]:
+        """All nodes reachable from ``start`` via shared-hyperedge adjacency.
+
+        With ``within`` given, only hyperedges fully inside it are traversed:
+        the component of ``start`` in the strongly induced subhypergraph on
+        ``within``.
+        """
         frontier = sorted(set(start))
         if not frontier:
             raise InputError("connected_component requires a nonempty start set")
         for v in frontier:
             self._check_node(v)
+        allowed = None if within is None else frozenset(within)
         visited = set(frontier)
         edge_done = bytearray(len(self._edges))
         while frontier:
@@ -220,7 +207,10 @@ class Hypergraph:
                     if edge_done[ei]:
                         continue
                     edge_done[ei] = 1
-                    for u in self._edges[ei].members:
+                    members = self._edges[ei].members
+                    if allowed is not None and not allowed.issuperset(members):
+                        continue
+                    for u in members:
                         if u not in visited:
                             visited.add(u)
                             nxt.append(u)

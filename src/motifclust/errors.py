@@ -27,7 +27,7 @@ class UndefinedConductanceError(ArithmeticError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force oracle or global enumeration was asked to exceed its size budget."""
+    """A brute-force oracle was asked to exceed its size budget."""
 
 
 class InternalError(RuntimeError):

@@ -172,8 +172,8 @@ class ClusterReport:
     pattern) or "undefined-conductance". ``phi`` is the 3-decimal rendering of
     ``phi_exact`` (= motif_cut / volume_used); ``cluster_motif_degree`` is
     d_mu(C) and ``volume_used``/``volume_side`` record which side's volume was
-    the denominator. ``assumption`` reports the d_mu(B) <= d_mu(complement)
-    check: "unverified" unless verification was requested.
+    the denominator: the smaller of d_mu(C) and the global motif volume minus
+    d_mu(C).
     """
 
     dataset: str
@@ -189,7 +189,6 @@ class ClusterReport:
     cluster_motif_degree: int | None = None
     volume_used: int | None = None
     volume_side: str | None = None
-    assumption: str = "unverified"
     timings: dict = field(default_factory=dict)
     rng_seed: int = 0
     params: dict = field(default_factory=dict)
@@ -224,12 +223,22 @@ def write_report(report: ClusterReport, target) -> None:
 
 
 def read_report(source) -> ClusterReport:
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    return ClusterReport.from_dict(data)
+    """Parse a report written by write_report; anything else raises ParseError."""
+    name = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
+    try:
+        if hasattr(source, "read"):
+            data = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise ParseError(f"cannot read report: {exc}", path=name) from exc
+    if not isinstance(data, dict):
+        raise ParseError("a report must be a JSON object", path=name)
+    try:
+        return ClusterReport.from_dict(data)
+    except TypeError as exc:  # unknown or missing fields
+        raise ParseError(f"not a cluster report: {exc}", path=name) from exc
 
 
 BENCH_CSV_HEADER = ["graph", "method", "phi", "cluster_size", "time_s"]

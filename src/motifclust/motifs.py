@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import Hypergraph
 from .errors import InputError
@@ -160,6 +160,38 @@ def enumerate_motifs(
     return out
 
 
+def count_motifs(H: Hypergraph, pattern: MotifPattern) -> int:
+    """Number of occurrences of ``pattern`` in the whole hypergraph, counted
+    from the small-edge index without enumerating them.
+
+    Triadic patterns are the triads with the wanted dyad count. With T the
+    number of dyadic triangles (each dyad (a, b) sees |N(a) & N(b)| of them,
+    N the dyadic neighbors) and d_v the dyadic degree: #II = T - #VI, and
+    #I = sum_v C(d_v, 2) - 3T - #V, since the pairs of v's dyadic neighbors
+    are the wedges centered at v and every triangle holds three of them.
+    """
+    dyads = H.dyads
+
+    def triads_with(dyad_count: int) -> int:
+        return sum(
+            1
+            for x, y, z in H.triads
+            if ((x, y) in dyads) + ((x, z) in dyads) + ((y, z) in dyads) == dyad_count
+        )
+
+    if pattern.has_triadic:
+        return triads_with(pattern.dyad_count)
+    nbrs = H.dyadic_neighbors
+    triangles = sum(len(nbrs(a) & nbrs(b)) for a, b in dyads) // 3
+    if pattern is MotifPattern.II:
+        return triangles - triads_with(3)
+    wedges = 0
+    for v in range(H.n):
+        d = len(nbrs(v))
+        wedges += d * (d - 1) // 2
+    return wedges - 3 * triangles - triads_with(2)
+
+
 def motif_degrees(
     M: Iterable[MotifOccurrence], nodes: Iterable[int] | None = None
 ) -> dict[int, int]:
@@ -172,8 +204,3 @@ def motif_degrees(
     if nodes is None:
         return dict(counts)
     return {v: counts.get(v, 0) for v in nodes}
-
-
-def motif_volume(degrees: Mapping[int, int], nodes: Iterable[int]) -> int:
-    """d_mu of a node set given a degree map (missing nodes count 0)."""
-    return sum(degrees.get(v, 0) for v in nodes)

@@ -5,8 +5,8 @@ doubled pair graph W the hypergraph carries (see ``auxiliary``). Refinement is
 Fiduccia-Mattheyses on W, with one lazy max-gain heap per block, restarted
 under randomized imbalance. Block 0 is the cluster side (holds the seed
 nodes); block 1 holds the contracted node u. The contracted node never moves;
-seed handling is either a post-hoc move (seeds free during refinement, moved
-back afterwards, the default) or fixed-vertex (seeds pinned throughout).
+seeds are free during refinement and moved back to block 0 afterwards. States
+are scored with ``conductance.motif_conductance``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .auxiliary import AuxHypergraph
-from .errors import ConstraintError, InputError, RefinementError, UndefinedConductanceError
+from .conductance import cut_net, motif_conductance
+from .errors import ConstraintError, InputError, RefinementError
 
 Blocks = list[int]
 
@@ -28,22 +29,6 @@ def size_bound(num_nodes: int, eps: float) -> int:
     if eps <= 0:
         raise InputError(f"imbalance eps must be > 0, got {eps}")
     return math.ceil((1 + eps) * num_nodes / 2)
-
-
-def _check_blocks(aux: AuxHypergraph, blocks: Sequence[int]) -> None:
-    if len(blocks) != aux.num_nodes:
-        raise InputError(f"partition covers {len(blocks)} nodes, aux has {aux.num_nodes}")
-    ones = sum(blocks)
-    if any(b not in (0, 1) for b in blocks):
-        raise InputError("block values must be 0 or 1")
-    if ones == 0 or ones == len(blocks):
-        raise ConstraintError("both blocks must be nonempty")
-
-
-def cut_net(aux: AuxHypergraph, blocks: Sequence[int]) -> int:
-    """Total weight of aux hyperedges with members in both blocks: cut_W / 2."""
-    _check_blocks(aux, blocks)
-    return sum(w for a, b, w in aux.pairs if blocks[a] != blocks[b]) // 2
 
 
 def is_consistent(aux: AuxHypergraph, blocks: Sequence[int]) -> bool:
@@ -215,82 +200,50 @@ def fm_refine(
     return blocks
 
 
-class RatioObjective:
-    """Incremental conductance scorer for refinement states.
-
-    ``node_volumes[a]`` is the motif degree behind aux node a (0 for u); the
-    denominator is the block-0 volume, or the smaller of the two sides when
-    ``min_side_total`` (three times the occurrence count) is given, which is
-    the whole-component regime. phi(cut, vol0) returns None when undefined.
-    """
-
-    def __init__(self, node_volumes: Sequence[int], min_side_total: int | None = None):
-        self.node_volumes = tuple(node_volumes)
-        self.min_side_total = min_side_total
-
-    def denominator(self, vol0: int) -> int:
-        """The conductance denominator of a state with block-0 volume vol0."""
-        if self.min_side_total is None:
-            return vol0
-        return min(vol0, self.min_side_total - vol0)
-
-    def phi(self, cut: int, vol0: int) -> Fraction | None:
-        denom = self.denominator(vol0)
-        if denom <= 0:
-            return None
-        return Fraction(cut, denom)
-
-
 def partition_search(
     aux: AuxHypergraph,
     beta: int,
     eps_range: tuple[float, float],
     rng: random.Random,
-    evaluator: Callable[[Sequence[int]], Fraction],
-    seed_mode: str = "posthoc",
+    volumes: Sequence[int],
+    total: int,
     max_passes: int = 10,
-    ratio: RatioObjective | None = None,
 ) -> tuple[Blocks, Fraction] | None:
     """Best consistent partition over ``beta`` randomized-imbalance restarts.
 
-    Each run draws its own RNG stream from the master rng, samples eps
-    uniformly from ``eps_range``, initializes randomly, refines, enforces
-    consistency, and scores with ``evaluator`` (which returns the motif
-    conductance as a Fraction or raises UndefinedConductanceError). When a
-    ``ratio`` objective is supplied, every consistent state visited during
-    refinement is scored incrementally as well: refinement minimizes the cut,
-    so the best-conductance state is often mid-trajectory rather than final.
-    Ties break by smaller cut-net, then smaller block 0, then first found.
-    Returns None when no run produced a defined conductance.
+    ``volumes[a]`` is the motif degree behind aux node a (0 for u) and
+    ``total`` the global motif volume, so a state with block-0 volume vol0
+    scores motif_conductance(cut, vol0, total). Each run draws its own RNG
+    stream from the master rng, samples eps uniformly from ``eps_range``,
+    initializes randomly, refines with the seeds free, enforces consistency
+    and scores the final state. Every consistent state visited during
+    refinement is scored as well: refinement minimizes the cut, so the
+    best-conductance state is often mid-trajectory rather than final. Ties
+    break by smaller cut-net, then smaller block 0, then first found.
+    Returns None when no state had a defined conductance.
     """
     if beta < 1:
         raise InputError(f"beta must be >= 1, got {beta}")
     lo, hi = eps_range
     if not (0 < lo <= hi):
         raise InputError(f"invalid eps range {eps_range!r}")
-    if seed_mode not in ("posthoc", "fixed"):
-        raise InputError(f"seed_mode must be 'posthoc' or 'fixed', got {seed_mode!r}")
-    movable = None
-    if seed_mode == "posthoc":
-        movable = frozenset(range(aux.num_nodes)) - {aux.u}
+    movable = frozenset(range(aux.num_nodes)) - {aux.u}
     run_seeds = [rng.randrange(2**63) for _ in range(beta)]
     best = _Best()
     for i, run_seed in enumerate(run_seeds):
         r = random.Random(run_seed)
         eps = lo if lo == hi else r.uniform(lo, hi)
         init = random_feasible_partition(aux, eps, r)
-        observer = None
-        if ratio is not None:
-            observer = _StateScorer(aux, ratio, i, best)
+        observer = _StateScorer(aux, volumes, total, i, best)
         refined = fm_refine(
             aux, init, eps, max_passes=max_passes, movable=movable, observer=observer
         )
         final = enforce_consistency(aux, refined)
-        try:
-            phi = evaluator(final)
-        except UndefinedConductanceError:
-            continue
-        best.consider((phi, cut_net(aux, final), len(final) - sum(final), i), final)
+        cut = cut_net(aux, final)
+        vol0 = sum(volumes[a] for a in range(aux.u) if final[a] == 0)
+        phi = motif_conductance(cut, vol0, total)
+        if phi is not None:
+            best.consider((phi, cut, len(final) - sum(final), i), final)
     if best.blocks is None:
         return None
     return best.blocks, best.key[0]
@@ -316,11 +269,14 @@ class _StateScorer:
     """fm_refine observer: tracks (cut, block-0 volume, stray seeds, block-0
     size) incrementally and offers every consistent state to the search."""
 
-    __slots__ = ("aux", "ratio", "run", "best", "vol0", "size0", "displaced", "seeds")
+    __slots__ = ("aux", "volumes", "total", "run", "best", "vol0", "size0", "displaced", "seeds")
 
-    def __init__(self, aux: AuxHypergraph, ratio: RatioObjective, run: int, best: _Best):
+    def __init__(
+        self, aux: AuxHypergraph, volumes: Sequence[int], total: int, run: int, best: _Best
+    ):
         self.aux = aux
-        self.ratio = ratio
+        self.volumes = volumes
+        self.total = total
         self.run = run
         self.best = best
         self.seeds = aux.seed_nodes
@@ -329,7 +285,7 @@ class _StateScorer:
         self.displaced = 0
 
     def __call__(self, event: str, blocks: Sequence[int], moved: int | None, cut: int) -> None:
-        vols = self.ratio.node_volumes
+        vols = self.volumes
         if event == "pass":
             self.vol0 = sum(vols[a] for a in range(self.aux.u) if blocks[a] == 0)
             self.size0 = len(blocks) - sum(blocks)
@@ -347,10 +303,9 @@ class _StateScorer:
                     self.displaced += 1
         if self.displaced:
             return
-        denom = self.ratio.denominator(self.vol0)
-        if denom <= 0:
-            return
         key = self.best.key
-        if key is not None and cut * key[0].denominator > key[0].numerator * denom:
-            return  # cut / denom is above the best phi so far
-        self.best.consider((Fraction(cut, denom), cut, self.size0, self.run), blocks)
+        if key is not None and cut * key[0].denominator > key[0].numerator * self.vol0:
+            return  # phi >= cut / vol0, which is already above the best phi
+        phi = motif_conductance(cut, self.vol0, self.total)
+        if phi is not None:
+            self.best.consider((phi, cut, self.size0, self.run), blocks)

@@ -6,13 +6,13 @@ auxiliary hypergraph, and phase 4 searches beta randomized-imbalance partitions.
 The minimum-conductance consistent cluster across all balls wins and is mapped
 back to original labels.
 
-Scoring: in the normal local regime the evaluator is the contraction's
-exact ratio, aux cut-net over the block-0 motif volume (the d_mu(B) <= d_mu(complement)
-assumption is trusted by default and echoed as "unverified" in the report).
-When a ball covers the seed's whole connected component that assumption cannot
-hold, so the evaluator switches to the min-side volume computed from the
-ball-local occurrence collection, which for a connected input is the exact
-direct conductance.
+Scoring is exact: a cluster C scores cut / min(d_mu(C), 3|M| - d_mu(C))
+(``conductance.motif_conductance``). The cut and d_mu(C) come from the
+ball-local occurrence collection, which holds every occurrence touching the
+ball, and |M|, the pattern's occurrence count in the whole hypergraph, comes
+from ``motifs.count_motifs``. Under ``scope="paper"`` with pattern I the cut
+and d_mu(C) come from the N[B]-restricted enumeration instead, while |M|
+stays global and exact.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
 
 from . import io as mio
 from .auxiliary import AuxHypergraph, build_aux
 from .balls import Ball, bfs_balls, core_ball
-from .conductance import verify_volume_assumption
+from .conductance import motif_conductance
 from .core import Hypergraph
-from .errors import InputError, InternalError, UndefinedConductanceError
-from .motifs import MotifPattern, enumerate_motifs, motif_degrees
-from .partition import RatioObjective, cut_net, partition_search
+from .errors import InputError, InternalError
+from .motifs import MotifPattern, count_motifs, enumerate_motifs, motif_degrees
+from .partition import cut_net, partition_search
 
 _PHASES = ("ingest", "ball", "enumerate", "aux", "partition", "total")
 
@@ -52,8 +51,6 @@ class RunConfig:
     eps_min: float = 0.03
     eps_max: float = 0.5
     scope: str = "exact"
-    seed_mode: str = "posthoc"
-    verify_assumption: bool = False
     rng_seed: int = 0
     output: str | None = None
     dataset: str | None = None
@@ -76,8 +73,6 @@ class RunConfig:
             )
         if self.scope not in ("exact", "paper"):
             raise InputError(f"scope must be 'exact' or 'paper', got {self.scope!r}")
-        if self.seed_mode not in ("posthoc", "fixed"):
-            raise InputError(f"seed_mode must be 'posthoc' or 'fixed', got {self.seed_mode!r}")
 
 
 @dataclass
@@ -93,7 +88,6 @@ class RunDetails:
     aux: AuxHypergraph | None = None
     blocks: list[int] | None = None
     phi: Fraction | None = None
-    whole_component: bool = False
 
 
 def arb_paths(prefix: str) -> tuple[str, str]:
@@ -177,22 +171,6 @@ def _coerce_label(lab: str, index: dict):
     return num if num in index else None
 
 
-def _make_objective(aux: AuxHypergraph, dmu: dict[int, int], whole_component: bool, m_count: int):
-    """The evaluator (final scoring) and the matching incremental ratio
-    objective (mid-refinement scoring) for one ball's auxiliary hypergraph."""
-    volumes = [dmu.get(aux.back_map[a], 0) for a in range(aux.u)] + [0]
-    ratio = RatioObjective(volumes, min_side_total=3 * m_count if whole_component else None)
-
-    def evaluator(blocks: Sequence[int]) -> Fraction:
-        vol0 = sum(volumes[a] for a in range(aux.u) if blocks[a] == 0)
-        phi = ratio.phi(cut_net(aux, blocks), vol0)
-        if phi is None:
-            raise UndefinedConductanceError("zero motif volume on the smaller side")
-        return phi
-
-    return evaluator, ratio
-
-
 def run_local_clustering(
     config: RunConfig, return_details: bool = False
 ) -> mio.ClusterReport | tuple[mio.ClusterReport, RunDetails]:
@@ -219,8 +197,11 @@ def run_local_clustering(
         balls = [core_ball(H, seed_members, max(config.min_ball, len(seed_members)))]
     else:
         balls = bfs_balls(H, seed_members, config.alpha, config.min_ball)
-    component = H.connected_component(seed_members)
     times["ball"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    total = 3 * count_motifs(H, pattern)
+    times["enumerate"] = time.perf_counter() - t0
 
     details = RunDetails(H, parsed.labels, seed_index, balls)
     ball_seeds = [rng.randrange(2**63) for _ in balls]
@@ -238,17 +219,15 @@ def run_local_clustering(
         aux = build_aux(M, ball, seed_members)
         dmu = motif_degrees(M)
         times["aux"] += time.perf_counter() - t0
-        whole = len(ball.nodes) == len(component)
-        evaluator, ratio = _make_objective(aux, dmu, whole, len(M))
+        volumes = [dmu.get(aux.back_map[a], 0) for a in range(aux.u)] + [0]
         t0 = time.perf_counter()
         found = partition_search(
             aux,
             config.beta,
             (config.eps_min, config.eps_max),
             random.Random(ball_seed),
-            evaluator,
-            seed_mode=config.seed_mode,
-            ratio=ratio,
+            volumes,
+            total,
         )
         times["partition"] += time.perf_counter() - t0
         if found is None:
@@ -263,11 +242,10 @@ def run_local_clustering(
                 "ball": ball,
                 "M": M,
                 "aux": aux,
-                "dmu": dmu,
+                "volumes": volumes,
                 "blocks": blocks,
                 "phi": phi,
                 "cut": cut,
-                "whole": whole,
             }
 
     params = {
@@ -277,7 +255,6 @@ def run_local_clustering(
         "eps_min": config.eps_min,
         "eps_max": config.eps_max,
         "scope": config.scope,
-        "seed_mode": config.seed_mode,
         "seed_edge_index": seed_index,
         "seed_nodes": sorted(parsed.labels[v] for v in seed_members),
     }
@@ -297,14 +274,10 @@ def run_local_clustering(
         blocks = best["blocks"]
         cluster_aux = [a for a in range(aux.u) if blocks[a] == 0]
         cluster_ids = [aux.back_map[a] for a in cluster_aux]
-        vol_cluster = sum(best["dmu"].get(v, 0) for v in cluster_ids)
+        vol_cluster = sum(best["volumes"][a] for a in cluster_aux)
         phi: Fraction = best["phi"]
-        total3 = 3 * len(best["M"])
-        if best["whole"]:
-            volume_used = min(vol_cluster, total3 - vol_cluster)
-        else:
-            volume_used = vol_cluster
-        if volume_used <= 0 or phi != Fraction(best["cut"], volume_used):
+        volume_used = min(vol_cluster, total - vol_cluster)
+        if phi != motif_conductance(best["cut"], vol_cluster, total):
             raise InternalError(
                 f"search phi {phi} does not match cut {best['cut']} over volume {volume_used}"
             )
@@ -323,10 +296,6 @@ def run_local_clustering(
         details.aux = aux
         details.blocks = blocks
         details.phi = phi
-        details.whole_component = best["whole"]
-        if config.verify_assumption:
-            holds = verify_volume_assumption(H, ball, pattern)
-            report.assumption = "holds" if holds else "violated"
     times["total"] = time.perf_counter() - t_start
     report.timings = {k: round(v, 6) for k, v in times.items()}
     if config.output:

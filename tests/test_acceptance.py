@@ -114,23 +114,28 @@ def test_criterion_2_cut_equivalence():
 
 
 def test_criterion_3_conductance_equivalence():
-    """Where d_mu(C) <= d_mu(complement), the aux-route conductance equals the
-    direct definition in exact rational arithmetic."""
+    """The aux-route conductance, with the global motif volume, equals the
+    direct definition in exact rational arithmetic on every split where it is
+    defined; where it is not, the direct route is 0/0 or has a motif-free
+    cluster (phi 0 by convention)."""
     compared = 0
     for H, _seed, _ball, pattern, M_ball, aux, blocks in _contraction_instances():
         cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}
         M_global = brute_motifs(H, pattern)
-        degrees = motif_degrees(M_global)
-        vol_c = sum(degrees.get(v, 0) for v in cluster)
-        if vol_c == 0 or vol_c > 3 * len(M_global) - vol_c:
-            continue  # volume hypothesis does not apply
-        via = conductance_via_aux(aux, blocks, motif_degrees(M_ball))
-        direct = conductance_direct(M_global, cluster)
+        try:
+            direct = conductance_direct(M_global, cluster)
+        except UndefinedConductanceError:
+            direct = None
+        try:
+            via = conductance_via_aux(aux, blocks, motif_degrees(M_ball), 3 * len(M_global))
+        except UndefinedConductanceError:
+            assert direct is None or direct.volume_used == 0
+            continue
         assert via.phi == direct.phi
         _record(via.phi)
         compared += 1
-    assert compared >= 30, f"only {compared} instances met the hypothesis"
-    print(f"\nPASS criterion 3: via-aux == direct conductance on {compared} hypothesis-satisfying instances (exact)")
+    assert compared >= 60, f"only {compared} instances had a defined conductance"
+    print(f"\nPASS criterion 3: via-aux == direct conductance on {compared} of 100 instances (exact); the other {100 - compared} have a motif-free side")
 
 
 def test_criterion_4_pipeline_optimality_toy_scale():
@@ -233,13 +238,21 @@ def _desk_scale_runs():
 
 def test_criterion_5_desk_scale_smoke():
     """Both methods finish each run well under 120 s at alpha=3, beta=80 and
-    at least one of 5 random seeds reports a defined phi <= 0.75."""
+    at least one of 5 random seeds reports a defined phi <= 0.75. Every
+    reported phi is the true motif conductance of its cluster."""
     label, runs = _desk_scale_runs()
+    prefix, _ = _desk_scale_dataset()
+    parsed = parse_arb_simplices(*arb_paths(prefix))
+    H = parsed.hypergraph
+    index = parsed.label_index()
+    M_global = enumerate_motifs(H, range(H.n), MotifPattern.VI)
     by_method = {"core": [], "bfs": []}
     for config, report, wall in runs:
         assert wall < 120.0, f"{config.method} run took {wall:.1f}s (budget 120s)"
         if report.status == "ok":
             phi = Fraction(report.phi_exact)
+            cluster = [index[v] for v in report.cluster]
+            assert phi == conductance_direct(M_global, cluster).phi, config
             _record(phi)
             by_method[config.method].append(phi)
     for method, phis in by_method.items():
@@ -270,19 +283,19 @@ def test_criterion_6_phi_range_and_refine_counters():
 
 
 # sha256 of criterion 5's canonical reports on the synthetic stand-in, in run
-# order (core then bfs, 5 seeds each), as the pin-count hypergraph FM produced
-# them; FM on the pair graph must reproduce them byte for byte
+# order (core then bfs, 5 seeds each), recorded with the exact scoring on
+# global motif totals
 SYNTHETIC_C5_DIGESTS = (
-    "8650c67af4a992af95c82664ee84ccdca628b09a0f926ec4f3d29d78b9b5aa85",
-    "55804cdca83cad4fd814a77af50d831c0bc8b6bffc6806fde44767eae49964c0",
-    "63c879076708a138bb8c97adf54049555f80811646f8045505ddd02bf8be1b51",
-    "a0f2cd3e8c7d7e9a30bab939eb94b3a62b18bc620b6b80c102dc077a29a7e6c3",
-    "b7d11e5367c3528e948ea359de8096d412210fe78ea188384d566f8396de19fe",
-    "332c7282fee424a2d43deef8768ef7dd25a1b3d81ce02e102b1c30f999fa8342",
-    "eaa005d86f7c9e9f7f64749c8cadac6ea1467750a60def0468b1df1278799cb5",
-    "98c41a2421bb6f8996e67563ff57f15967b666f5333cc2490e3aa1d6d160ee00",
-    "5b0292300d54b5e16ef2243928522b50def93a6cfc673ba1689c3faf31522c22",
-    "1c6e3f0b4ddbbe77ea02285dda4f087f91d870a9f6729b25112b2797d7b4be74",
+    "97e51be760666f6a8b59d75f95ea730023fb175db5d15b97392579b85610c8df",
+    "f6fda5be9babe3c3549d8cefa785965d4c25a753d6ce151c2ec289a16d991a59",
+    "3eaed496416ba4075355339df90758834a7662ca4d84397aa2cab5d536acf5b8",
+    "a3a5fa1a49ccd0d48e02b69eb04c07ac43ed137bfb69c0757081316fa852953c",
+    "28ac195d740568709dda530bd55b90608df3b19a0a7c1e7fa1ff6c542b5d5b05",
+    "51876cda697d97773bb90b949345c8d19e9d9494e2664b4688331f4468d817ca",
+    "ec83cfbe09eae3d9a8f69d5646be1fa6be40608aeb2a04398064e995a5ad16b8",
+    "a7659268489b981f7f6e6ab480d3960e79ff1ef75e7c1ffde18f7743514605db",
+    "bb911c2f074224c7494d7e4a70d1a236f8cff34c29f77b674dc5f30137505ef0",
+    "e897411453bdb93306e8275451747a4f1240fdbc70b1565df20bbbbdc5d2a7fb",
 )
 
 

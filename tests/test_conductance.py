@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from motifclust import (
-    BudgetExceededError,
     Hypergraph,
     MotifPattern,
     UndefinedConductanceError,
@@ -12,9 +11,9 @@ from motifclust import (
     conductance_direct,
     conductance_via_aux,
     enumerate_motifs,
+    motif_conductance,
     motif_cut,
     motif_degrees,
-    verify_volume_assumption,
 )
 from motifclust.testing import random_ball_nodes, random_hypergraph
 
@@ -71,20 +70,18 @@ def test_conductance_direct_symmetry():
         assert a.phi == b.phi
 
 
-def test_via_aux_differs_when_assumption_fails():
-    # the hypothesis-violating toy: d_mu(B) = 4 > 2 = d_mu(complement)
+def test_via_aux_uses_the_complement_when_the_ball_outweighs_it():
+    # d_mu(B) = 4 > 2 = d_mu(complement): the complement is the denominator
     H, M = two_triad_toy()
     B = {0, 1, 2}
     M_ball = enumerate_motifs(H, B, MotifPattern.III)
     aux = build_aux(M_ball, B, [0, 1, 2])
     dmu = motif_degrees(M_ball)
     blocks = [0, 0, 0, 1]
-    via = conductance_via_aux(aux, blocks, dmu)
+    via = conductance_via_aux(aux, blocks, dmu, 3 * len(M))
     direct = conductance_direct(M, B)
-    assert via.phi == Fraction(1, 4)
-    assert direct.phi == Fraction(1, 2)
-    assert via.phi != direct.phi
-    assert verify_volume_assumption(H, B, MotifPattern.III) is False
+    assert via.phi == direct.phi == Fraction(1, 2)
+    assert (via.motif_cut, via.volume_used, via.side) == (1, 2, "complement")
 
 
 def test_via_aux_requires_consistent_u_and_positive_volume():
@@ -96,15 +93,27 @@ def test_via_aux_requires_consistent_u_and_positive_volume():
     from motifclust import ConstraintError
 
     with pytest.raises(ConstraintError):
-        conductance_via_aux(aux, [1, 1, 1, 0], dmu)
+        conductance_via_aux(aux, [1, 1, 1, 0], dmu, 6)
     with pytest.raises(UndefinedConductanceError):
-        conductance_via_aux(aux, [0, 0, 0, 1], {v: 0 for v in range(5)})
+        conductance_via_aux(aux, [0, 0, 0, 1], {v: 0 for v in range(5)}, 6)
+    with pytest.raises(UndefinedConductanceError):
+        conductance_via_aux(aux, [0, 0, 0, 1], dmu, 4)  # nothing outside the ball
+
+
+def test_motif_conductance_is_cut_over_the_smaller_side():
+    assert motif_conductance(3, 4, 20) == Fraction(3, 4)
+    assert motif_conductance(3, 16, 20) == Fraction(3, 4)
+    assert motif_conductance(0, 10, 20) == 0
+    assert motif_conductance(0, 0, 20) is None
+    assert motif_conductance(0, 20, 20) is None
 
 
 def test_aux_route_equals_direct_route_randomized():
-    # when d_mu(C) <= d_mu(complement), the aux route equals the direct route
+    # with the global motif volume, the aux route equals the direct route on
+    # every split; where it is undefined, the direct route is 0/0 or has a
+    # motif-free cluster (phi 0 by convention)
     rng = random.Random(61)
-    checked = equal = 0
+    checked = 0
     while checked < 60:
         H = random_hypergraph(rng, rng.randint(4, 11), 0.25, 0.12)
         if H.num_edges == 0:
@@ -123,16 +132,22 @@ def test_aux_route_equals_direct_route_randomized():
         for s in aux.seed_nodes:
             blocks[s] = 0
         cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}
-        degrees_global = motif_degrees(M_global)
-        vol_c = sum(degrees_global.get(v, 0) for v in cluster)
-        if vol_c == 0 or vol_c > 3 * len(M_global) - vol_c:
-            continue  # volume hypothesis not met
         checked += 1
-        via = conductance_via_aux(aux, blocks, dmu)
-        direct = conductance_direct(M_global, cluster)
-        assert via.phi == direct.phi  # exact rational equality
-        equal += 1
-    assert equal == checked
+        try:
+            direct = conductance_direct(M_global, cluster)
+        except UndefinedConductanceError:
+            direct = None
+        try:
+            via = conductance_via_aux(aux, blocks, dmu, 3 * len(M_global))
+        except UndefinedConductanceError:
+            assert direct is None or direct.volume_used == 0
+            continue
+        assert (via.phi, via.motif_cut, via.volume_used, via.side) == (
+            direct.phi,
+            direct.motif_cut,
+            direct.volume_used,
+            direct.side,
+        )  # exact rational equality
 
 
 def test_phi_range_invariant():
@@ -166,15 +181,3 @@ def test_monotone_sanity_adding_inside_occurrence():
     res = conductance_direct(extra, C)
     assert res.motif_cut == base.motif_cut
     assert res.phi <= base.phi
-
-
-def test_verify_volume_assumption_cases():
-    H, _ = two_triad_toy()
-    # small ball in the middle: 4 > 2 fails; the complement-heavy ball holds
-    assert verify_volume_assumption(H, {0, 1, 2}, MotifPattern.III) is False
-    assert verify_volume_assumption(H, {3, 4}, MotifPattern.III) is True
-    # empty collection: 0 <= 0
-    assert verify_volume_assumption(H, {0}, MotifPattern.VI) is True
-    with pytest.raises(BudgetExceededError):
-        verify_volume_assumption(H, {0}, MotifPattern.III, max_nodes=3)
-    assert verify_volume_assumption(H, {0, 1, 2}, MotifPattern.III, max_nodes=3, force=True) is False

@@ -52,6 +52,9 @@ def test_connected_component():
     assert H.connected_component({0}) == {0, 1}
     H2 = Hypergraph.from_members([[0, 1, 2], [2, 3], [4, 5]])
     assert H2.connected_component({3}) == {0, 1, 2, 3}
+    # within a node set, only hyperedges fully inside it are traversed
+    assert H2.connected_component({3}, within={1, 2, 3}) == {2, 3}
+    assert H2.connected_component({0}, within={0, 1, 2, 3}) == {0, 1, 2, 3}
     with pytest.raises(InputError):
         H.connected_component(set())
 

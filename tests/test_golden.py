@@ -1,32 +1,40 @@
 """Golden answers: canonical reports for patterns I-VI x {core, bfs} on one
-fixed synthetic contact hypergraph must keep their sha256 digests.
+fixed synthetic contact hypergraph must keep their sha256 digests, and each
+reported phi must be the true motif conductance of its cluster.
 
-The digests are those of the reports the pin-count hypergraph FM produced;
-FM on the doubled pair graph makes the same moves, so every report is
-byte-identical. A change that alters any answer, its tie-breaking or the
-report format fails here.
+The digests were recorded with the exact scoring on global motif totals. A
+change that alters any answer, its tie-breaking or the report format fails
+here.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from motifclust import RunConfig, run_local_clustering
+from motifclust import (
+    MotifPattern,
+    RunConfig,
+    conductance_direct,
+    enumerate_motifs,
+    parse_arb_simplices,
+    run_local_clustering,
+)
 from motifclust.testing import synthetic_contact_edges, write_arb_dataset
 
 GOLDEN = {
-    ("I", "core"): "00001e4be767577a18c9d37056d1152826fe588d75ffe79fe406a460c3577623",
-    ("I", "bfs"): "c4acf7fb219e5a6a2b2898e50173363c6acc566ef3f1d7cccb7d8ba42af18e08",
-    ("II", "core"): "19e38ad467220d566dcecbcf4a72531289372642e7a05377afb7dab99eb7ca54",
-    ("II", "bfs"): "b955cf2028a938e194b4c3ed09fa2c09b90b5b045532e4d7535a778a59a7b621",
-    ("III", "core"): "d0edb1c758fa0bd86ab0573d33ea06a30fcb54bbf3bc076d4829de9658f86bb8",
-    ("III", "bfs"): "33b94372b17dab9eefe9eadaf2c6e9cc1918e62e5f215698662894b852bd5618",
-    ("IV", "core"): "bfcc810bd0529eb13efa732976fce62961c428ce1202c5dedded6f3f2daa5d94",
-    ("IV", "bfs"): "858f8730afccae353f6c3ba66b54e9806f35112e3c31f6192186ec5805cdcaad",
-    ("V", "core"): "92782fa5fd2e567fd8034c34b6ef0cb2b2bdc78a9caddc172d55650493f55d8f",
-    ("V", "bfs"): "5b93d91c39fd2f89d60a2094e63cd564e9bb5b6a3faa29568bf94fc6ab8598eb",
-    ("VI", "core"): "7f05a786775e052350beaa07940c40e90515eed44618f80ae2adc2f023fe3011",
-    ("VI", "bfs"): "2045b2ff2e5aa0d954fdb42bd8acc331db207a40479931f1cffe8e90206ee6fa",
+    ("I", "core"): "bb159a193fe80eb91175569c2c5e6f137e12011b11faadf8ad0465913ef80f97",
+    ("I", "bfs"): "21b064b63c6dc088d345236329a91d6c27b0b07eb941436c0886655cf1480768",
+    ("II", "core"): "fd4f49552e3b3525cac8c39765034ab31e8cb67e7bef0a83cf19290f5c40f67c",
+    ("II", "bfs"): "e9506923327a89fc53d593293b79076f0a25a57287e0e24d95ebf7ffc225d34b",
+    ("III", "core"): "0d5b06905b5e2a679be4d28bc93b0e70260b1a0133436d1e06a6ad0d3c2fad29",
+    ("III", "bfs"): "a6389e1cd5f5c855e9e7d58b6a6f801d9367b8315c260ed2062c88ccd7d1dc7d",
+    ("IV", "core"): "624d339ba97c7cafa64508a6f990bc6fb72c613df2a548ae52a8e7fe91fc7d8b",
+    ("IV", "bfs"): "7b5e19c3d8410c31fcd244482332657210a3d45b0aafe87fa0114024c8dacd54",
+    ("V", "core"): "ad4d15fe865e6706145b33c981709d71fa4fff128b5b1eb71139a0b8769bbf57",
+    ("V", "bfs"): "00a652c9c286ef05f06e34c656d8fba286dbd2a63e3cdc47dafd2886218b05b8",
+    ("VI", "core"): "b0463ea71b9f1aea969dc64a09880cdc16155ace750dc7d4b9ff525dcf8e1577",
+    ("VI", "bfs"): "45a1d91e1a8937bf1749a3f954edf1bebdd2cf0ab6ca1bacca3ccc413fa49ca9",
 }
 
 
@@ -53,5 +61,16 @@ def test_golden_report_digest(dataset, pattern, method):
     )
     report = run_local_clustering(config)
     assert report.status == "ok"
+    parsed = parse_arb_simplices(dataset + "-nverts.txt", dataset + "-simplices.txt")
+    H = parsed.hypergraph
+    index = parsed.label_index()
+    M_global = enumerate_motifs(H, range(H.n), MotifPattern.from_spec(pattern))
+    true = conductance_direct(M_global, [index[label] for label in report.cluster])
+    assert Fraction(report.phi_exact) == true.phi
+    assert (report.motif_cut, report.volume_used, report.volume_side) == (
+        true.motif_cut,
+        true.volume_used,
+        true.side,
+    )
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == GOLDEN[(pattern, method)]

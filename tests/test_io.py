@@ -127,6 +127,19 @@ def test_report_round_trip(tmp_path):
     assert text.strip() == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False)
 
 
+def test_read_report_rejects_malformed_input(tmp_path):
+    report = ClusterReport(dataset="d", method="core", motif="VI")
+    stale = report.to_json().replace('"cluster"', '"assumption": "unverified", "cluster"')
+    for text in (stale, "[1, 2]", "not json {"):
+        with pytest.raises(ParseError):
+            read_report(_stdio.StringIO(text))
+    path = tmp_path / "bad.json"
+    path.write_text("[]")
+    with pytest.raises(ParseError) as err:
+        read_report(path)
+    assert str(path) in str(err.value)
+
+
 def test_report_with_zero_timings_and_canonical_strip():
     report = ClusterReport(dataset="d", method="core", motif="VI", timings={})
     assert read_report(_stdio.StringIO(report.to_json())) == report

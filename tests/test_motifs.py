@@ -1,9 +1,18 @@
 import random
+from itertools import cycle
 
 import pytest
 
-from motifclust import Hypergraph, InputError, MotifPattern, classify_triple, enumerate_motifs, motif_degrees
-from motifclust.testing import brute_motifs, random_hypergraph
+from motifclust import (
+    Hypergraph,
+    InputError,
+    MotifPattern,
+    classify_triple,
+    count_motifs,
+    enumerate_motifs,
+    motif_degrees,
+)
+from motifclust.testing import brute_motifs, random_hypergraph, synthetic_contact_edges
 
 
 def test_pattern_table():
@@ -93,6 +102,23 @@ def test_enumerate_matches_brute_force_all_patterns():
             got = enumerate_motifs(H, everything, pattern, scope="exact")
             assert got == brute_motifs(H, pattern)
             assert len(got) == len({occ.nodes for occ in got})  # no duplicates
+
+
+def test_count_motifs_equals_global_enumeration():
+    # criterion 1's random hypergraphs (three densities, some size-4 edges)
+    rng = random.Random(41)
+    densities = cycle([(0.12, 0.04), (0.22, 0.10), (0.35, 0.18)])
+    graphs = [
+        random_hypergraph(
+            rng, rng.randint(4, 12), *next(densities), big_edge_p=0.02, require_edge=False
+        )
+        for _ in range(60)
+    ]
+    graphs.append(Hypergraph.from_members(synthetic_contact_edges(n_edges=2000)))
+    for H in graphs:
+        for pattern in MotifPattern:
+            expected = len(enumerate_motifs(H, range(H.n), pattern))
+            assert count_motifs(H, pattern) == expected, (H.edges, pattern)
 
 
 def test_pattern_partition_randomized():

@@ -9,7 +9,6 @@ from motifclust import (
     AuxHypergraph,
     ConstraintError,
     InputError,
-    UndefinedConductanceError,
     cut_net,
     enforce_consistency,
     fm_refine,
@@ -172,46 +171,40 @@ def test_enforce_consistency():
 
 def test_partition_search_toy():
     aux = toy_aux()
-    dmu = {0: 1, 1: 1, 2: 2}  # degrees from the two-triad toy
-
-    def evaluator(blocks):
-        vol = sum(dmu.get(aux.back_map[a], 0) for a in range(aux.u) if blocks[a] == 0)
-        if vol == 0:
-            raise UndefinedConductanceError
-        return Fraction(cut_net(aux, blocks), vol)
-
-    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), evaluator)
+    volumes = [1, 1, 2, 0]  # degrees from the two-triad toy, 0 for u
+    # the toy's global volume is 6: the ball {0, 1, 2} outweighs its complement
+    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), volumes, 6)
     assert found is not None
     blocks, phi = found
     assert blocks == [0, 0, 0, 1]
-    assert phi == Fraction(1, 4)
+    assert phi == Fraction(1, 2)
+    # with more volume outside the ball, the cluster side is the denominator
+    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), volumes, 12)
+    assert found[1] == Fraction(1, 4)
+    # no state with motif volume on both sides
+    assert partition_search(aux, 5, (0.03, 0.5), random.Random(0), volumes, 4) is None
 
 
 def test_partition_search_beta_one_and_validation():
     aux = toy_aux()
-    evaluator = lambda blocks: Fraction(cut_net(aux, blocks), 1)
-    found = partition_search(aux, 1, (0.1, 0.1), random.Random(7), evaluator)
+    volumes = [1, 1, 2, 0]
+    found = partition_search(aux, 1, (0.1, 0.1), random.Random(7), volumes, 6)
     assert found is not None
     with pytest.raises(InputError):
-        partition_search(aux, 0, (0.03, 0.5), random.Random(0), evaluator)
+        partition_search(aux, 0, (0.03, 0.5), random.Random(0), volumes, 6)
     with pytest.raises(InputError):
-        partition_search(aux, 1, (0.0, 0.5), random.Random(0), evaluator)
+        partition_search(aux, 1, (0.0, 0.5), random.Random(0), volumes, 6)
 
 
 def test_partition_search_monotone_in_beta():
     rng = random.Random(8)
     aux = random_aux(rng)
-    dmu = {v: rng.randint(1, 4) for v in range(aux.u)}
-
-    def evaluator(blocks):
-        vol = sum(dmu.get(aux.back_map[a], 0) for a in range(aux.u) if blocks[a] == 0)
-        if vol == 0:
-            raise UndefinedConductanceError
-        return Fraction(cut_net(aux, blocks), vol)
+    volumes = [rng.randint(1, 4) for _ in range(aux.u)] + [0]
+    total = 2 * sum(volumes)
 
     phis = []
     for beta in (1, 4, 16):
-        found = partition_search(aux, beta, (0.03, 0.5), random.Random(42), evaluator)
+        found = partition_search(aux, beta, (0.03, 0.5), random.Random(42), volumes, total)
         phis.append(found[1] if found else None)
     defined = [p for p in phis if p is not None]
     assert defined == sorted(defined, reverse=True) or len(defined) < 2
@@ -221,8 +214,14 @@ def test_partition_search_matches_exhaustive_toy_scale():
     # stochastic acceptance bound: >= 95% optimal over 100 random instances
     # built from real motif collections; eps sampled up to 1.0 so extreme
     # block sizes stay reachable
-    from motifclust import MotifPattern, build_aux, enumerate_motifs, motif_degrees
-    from motifclust.partition import RatioObjective
+    from motifclust import (
+        MotifPattern,
+        build_aux,
+        count_motifs,
+        enumerate_motifs,
+        motif_conductance,
+        motif_degrees,
+    )
     from motifclust.testing import random_ball_nodes, random_hypergraph
 
     rng = random.Random(9)
@@ -242,26 +241,17 @@ def test_partition_search_matches_exhaustive_toy_scale():
             continue  # keep the exhaustive side cheap
         dmu = motif_degrees(M)
         volumes = [dmu.get(aux.back_map[a], 0) for a in range(aux.u)] + [0]
-        ratio = RatioObjective(volumes)
-
-        def evaluator(blocks, aux=aux, volumes=volumes, ratio=ratio):
-            vol0 = sum(volumes[a] for a in range(aux.u) if blocks[a] == 0)
-            phi = ratio.phi(cut_net(aux, blocks), vol0)
-            if phi is None:
-                raise UndefinedConductanceError
-            return phi
+        total = 3 * count_motifs(H, pattern)
 
         best = None
         for blocks in all_consistent_partitions(aux):
-            try:
-                phi = evaluator(blocks)
-            except UndefinedConductanceError:
-                continue
-            if best is None or phi < best:
+            vol0 = sum(volumes[a] for a in range(aux.u) if blocks[a] == 0)
+            phi = motif_conductance(cut_net(aux, blocks), vol0, total)
+            if phi is not None and (best is None or phi < best):
                 best = phi
         checked += 1
         found = partition_search(
-            aux, 200, (0.03, 1.0), random.Random(1000 + checked), evaluator, ratio=ratio
+            aux, 200, (0.03, 1.0), random.Random(1000 + checked), volumes, total
         )
         got = None if found is None else found[1]
         if (best is None and got is None) or got == best:

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from motifclust import InputError, RunConfig, run_benchmark, run_local_clustering
+from motifclust import InputError, MotifPattern, RunConfig, run_benchmark, run_local_clustering
 from motifclust.conductance import conductance_via_aux
-from motifclust.motifs import motif_degrees
+from motifclust.motifs import enumerate_motifs, motif_degrees
 from motifclust.pipeline import expand_bench_config, resolve_seed_edges
 from motifclust.io import parse_edge_list
 
@@ -38,7 +38,6 @@ def test_toy_pipeline_finds_optimal_cluster(tmp_path):
     assert report.cluster_motif_degree == 4
     assert report.volume_used == 2 and report.volume_side == "complement"
     assert report.ball_size == 5  # small-graph escape: whole component
-    assert report.assumption == "unverified"
 
 
 def test_toy_pipeline_core_method(tmp_path):
@@ -75,20 +74,17 @@ def test_pipeline_report_invariants_and_self_consistency(tmp_path):
     seed_labels = set(report.params["seed_nodes"])
     assert seed_labels <= set(report.cluster)
     # reported phi is recomputable from the persisted partition
+    H = details.hypergraph
+    total = 3 * len(enumerate_motifs(H, range(H.n), MotifPattern.III))
     recomputed = conductance_via_aux(
-        details.aux, details.blocks, motif_degrees(details.occurrences)
+        details.aux, details.blocks, motif_degrees(details.occurrences), total
     )
     assert recomputed.motif_cut == report.motif_cut
-    if not details.whole_component:
-        assert Fraction(report.phi_exact) == recomputed.phi
+    assert Fraction(report.phi_exact) == recomputed.phi
+    assert recomputed.volume_used == report.volume_used
+    assert recomputed.side == report.volume_side
     assert Fraction(report.motif_cut, report.volume_used) == Fraction(report.phi_exact)
     assert abs(report.phi - report.motif_cut / report.volume_used) <= 5e-4
-
-
-def test_pipeline_verify_assumption_flag(tmp_path):
-    report = run_local_clustering(toy_config(tmp_path, verify_assumption=True))
-    # ball is the whole component: everything motif-heavy sits inside it
-    assert report.assumption == "violated"
 
 
 def test_pipeline_paper_scope_runs(tmp_path):
