@@ -18,7 +18,6 @@ from motifclust import (
     count_motifs,
     cut_net,
     enumerate_motifs,
-    motif_degrees,
     parse_edge_list,
 )
 import io
@@ -44,6 +43,8 @@ M = enumerate_motifs(H, B, MotifPattern.VI)
 aux = build_aux(M, B, seed)
 print("\noccurrences touching the ball:", [o.nodes for o in M])
 print("aux hyperedges (members, weight):", aux.edges, "u =", aux.u)
+# each ball node's motif degree is half its degree in the doubled pair graph W
+print("motif degrees of the aux nodes (u last, always 0):", aux.volumes)
 
 # the contraction preserves cuts: the aux cut-net of a split equals the motif-cut of
 # the mapped-back cluster
@@ -52,10 +53,10 @@ blocks[aux.u] = 1
 cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}
 M_all = enumerate_motifs(H, frozenset(range(H.n)), MotifPattern.VI)
 direct = conductance_direct(M_all, cluster)
-# the aux route needs only the global motif volume 3|M|, counted without
-# enumerating the occurrences
+# besides its own motif degrees, the aux route needs only the global motif
+# volume 3|M|, counted without enumerating the occurrences
 total = 3 * count_motifs(H, MotifPattern.VI)
-via = conductance_via_aux(aux, blocks, motif_degrees(M), total)
+via = conductance_via_aux(aux, blocks, total)
 print(f"\ncluster {sorted(cluster)}: aux cut {cut_net(aux, blocks)}, direct cut {direct.motif_cut}")
 # and the conductances agree exactly
 print(f"phi via aux = {via.phi}, phi direct = {direct.phi}")

@@ -11,6 +11,9 @@ exactly two of its pairs when it has 3 pins and its one pair when it has 2.
 So the hypergraph also carries the doubled pair graph W: each 3-pin edge adds
 w to each of its pairs and each 2-pin edge adds 2w to its pair. For every
 2-way split, cut-net = cut_W / 2 (Benson, Gleich & Leskovec, Science 2016).
+Each hyperedge also adds 2w to the W degree of each of its pins, so a ball
+node's motif degree is d_mu(a) = deg_W(a) / 2; the hypergraph carries it as
+``volumes``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ class AuxHypergraph:
 
     ``pairs`` lists the doubled pair graph W as (a, b, weight) with a < b, in
     order of first appearance, and ``neighbors[v]`` holds v's (x, weight)
-    entries of W.
+    entries of W. ``volumes[a]`` is the motif degree of ball node a, half its
+    W degree, and ``volumes[u]`` is 0: u stands for nodes outside the ball.
     """
 
     def __init__(
@@ -73,10 +77,15 @@ class AuxHypergraph:
         self._weights = tuple(weights)
         self.pairs = tuple((a, b, w) for (a, b), w in pair_weight.items())
         neighbors: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        degree = [0] * self.num_nodes
         for a, b, w in self.pairs:
             neighbors[a].append((b, w))
             neighbors[b].append((a, w))
+            degree[a] += w
+            degree[b] += w
         self.neighbors = tuple(map(tuple, neighbors))
+        degree[self.u] = 0
+        self.volumes = tuple(d >> 1 for d in degree)
         self.seed_nodes = frozenset(seed_nodes)
         if not self.seed_nodes:
             raise InputError("aux hypergraph needs at least one seed node")

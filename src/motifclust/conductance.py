@@ -4,16 +4,16 @@
 cut / min(d_mu(C), d_mu(V - C)), where d_mu(V - C) is the global motif volume
 3|M| (from ``motifs.count_motifs``) minus d_mu(C). Two routes reach it: the
 auxiliary hypergraph, whose cut-net equals the motif-cut and whose block-0
-motif volume is d_mu(C), and, independently, ``conductance_direct`` over a
-global occurrence collection, the oracle the tests compare against. All
-arithmetic is exact (fractions); rendering to decimals happens only in
-reports.
+motif volume (half its W degree, ``AuxHypergraph.volumes``) is d_mu(C), and,
+independently, ``conductance_direct`` over a global occurrence collection,
+the oracle the tests compare against. All arithmetic is exact (fractions);
+rendering to decimals happens only in reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .auxiliary import AuxHypergraph
 from .errors import ConstraintError, InputError, UndefinedConductanceError
@@ -111,24 +111,21 @@ def conductance_direct(
 
 
 def conductance_via_aux(
-    aux: AuxHypergraph, blocks: Sequence[int], dmu: Mapping[int, int], total: int
+    aux: AuxHypergraph, blocks: Sequence[int], total: int
 ) -> ConductanceResult:
     """Contracted route: aux cut-net over the smaller motif volume side.
 
-    ``dmu`` maps original node ids to motif degrees (as from motif_degrees on
-    the ball-touching occurrence collection) and ``total`` is the global
-    motif volume, three times the pattern's occurrence count. Equals
-    conductance_direct of the mapped-back cluster whenever the enumeration
-    was exact and the split is defined; raises UndefinedConductanceError when
-    either side has zero motif volume. Requires u in block 1.
+    Block 0's motif volume d_mu(C) is summed from ``aux.volumes`` and
+    ``total`` is the global motif volume, three times the pattern's
+    occurrence count. Equals conductance_direct of the mapped-back cluster
+    whenever the enumeration was exact and the split is defined; raises
+    UndefinedConductanceError when either side has zero motif volume.
+    Requires u in block 1.
     """
     if blocks[aux.u] != 1:
         raise ConstraintError("conductance_via_aux requires u in block 1")
     cut = cut_net(aux, blocks)
-    vol0 = 0
-    for a in range(aux.u):
-        if blocks[a] == 0:
-            vol0 += dmu.get(aux.back_map[a], 0)
+    vol0 = sum(aux.volumes[a] for a in range(aux.u) if blocks[a] == 0)
     phi = motif_conductance(cut, vol0, total)
     if phi is None:
         raise UndefinedConductanceError("a side of the split has zero motif volume")

@@ -11,7 +11,6 @@ adjacency caches memoize pure values and behave as if precomputed eagerly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -29,10 +28,9 @@ def canonical_members(members: Iterable[int]) -> Members:
 
 @dataclass(frozen=True)
 class Hyperedge:
-    """A hyperedge: strictly increasing member tuple plus a positive weight."""
+    """A hyperedge: a strictly increasing member tuple."""
 
     members: Members
-    weight: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         mem = self.members
@@ -40,12 +38,10 @@ class Hyperedge:
             raise InputError(f"members must be >= 2 strictly increasing node ids, got {mem!r}")
         if mem[0] < 0:
             raise InputError(f"negative node id in hyperedge {mem!r}")
-        if self.weight <= 0:
-            raise InputError(f"hyperedge weight must be positive, got {self.weight}")
 
     @staticmethod
-    def of(members: Iterable[int], weight: Fraction | int = 1) -> "Hyperedge":
-        return Hyperedge(canonical_members(members), Fraction(weight))
+    def of(members: Iterable[int]) -> "Hyperedge":
+        return Hyperedge(canonical_members(members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -176,9 +172,7 @@ class Hypergraph:
         edge_map: list[int] = []
         for i, e in enumerate(self._edges):
             if kept_set.issuperset(e.members):
-                sub_edges.append(
-                    Hyperedge(tuple(new_id[v] for v in e.members), e.weight)
-                )
+                sub_edges.append(Hyperedge(tuple(new_id[v] for v in e.members)))
                 edge_map.append(i)
         sub = Hypergraph(len(kept), sub_edges)
         return sub, tuple(kept), tuple(edge_map)

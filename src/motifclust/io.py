@@ -3,7 +3,7 @@ structured result output.
 
 Cleaning rules, applied identically by both parsers: repeated labels inside a
 hyperedge are deduplicated, hyperedges with fewer than two distinct nodes are
-dropped (counted), and duplicate hyperedges merge with summed weight. Labels
+dropped (counted), and duplicate hyperedges merge into one (counted). Labels
 are mapped to dense ids in order of first appearance; the label list maps them
 back. Reports serialize as canonical sorted-key JSON so golden files are
 byte-stable.
@@ -43,8 +43,7 @@ def _build_result(
     """raw_edges: list of label tuples (already deduplicated within the edge)."""
     labels: list = []
     index: dict = {}
-    acc: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
+    keys: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     merged = 0
     for members in raw_edges:
         ids = []
@@ -56,19 +55,17 @@ def _build_result(
                 labels.append(lab)
             ids.append(i)
         key = tuple(sorted(ids))
-        if key in acc:
-            acc[key] += 1
+        if key in keys:
             merged += 1
         else:
-            acc[key] = 1
-            order.append(key)
-    if not acc:
+            keys[key] = None
+    if not keys:
         raise InputError(f"no usable hyperedges in {source} after cleaning")
-    edges = [Hyperedge(key, Fraction(acc[key])) for key in order]
+    edges = [Hyperedge(key) for key in keys]
     if dropped:
         log.warning("%s: dropped %d hyperedges with < 2 distinct nodes", source, dropped)
     if merged:
-        log.warning("%s: merged %d duplicate hyperedges (weights summed)", source, merged)
+        log.warning("%s: merged %d duplicate hyperedges", source, merged)
     return ParseResult(Hypergraph(len(labels), edges), labels, dropped, merged)
 
 
@@ -153,9 +150,8 @@ def parse_arb_simplices(nverts_path, simplices_path) -> ParseResult:
 
 
 def write_edge_list(H: Hypergraph, labels: list, path) -> None:
-    """Debug writer: one line per hyperedge using original labels. Weights are
-    merge artifacts and are not written; parsing back gives an isomorphic
-    hypergraph with unit weights."""
+    """Debug writer: one line per hyperedge using original labels; parsing it
+    back gives an isomorphic hypergraph."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in H.edges:
             fh.write(" ".join(str(labels[v]) for v in e.members) + "\n")
@@ -196,12 +192,11 @@ class ClusterReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
-    def canonical_json(self, strip_timings: bool = True) -> str:
+    def canonical_json(self) -> str:
         """Sorted-key JSON with wall-clock timings zeroed; the determinism
         surface of a report (timings are the only nondeterministic fields)."""
         data = asdict(self)
-        if strip_timings:
-            data["timings"] = {k: 0.0 for k in data["timings"]}
+        data["timings"] = {k: 0.0 for k in data["timings"]}
         return json.dumps(data, sort_keys=True, ensure_ascii=False)
 
     @classmethod

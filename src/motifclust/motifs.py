@@ -192,15 +192,10 @@ def count_motifs(H: Hypergraph, pattern: MotifPattern) -> int:
     return wedges - 3 * triangles - triads_with(2)
 
 
-def motif_degrees(
-    M: Iterable[MotifOccurrence], nodes: Iterable[int] | None = None
-) -> dict[int, int]:
-    """d_mu(v): occurrences containing v. With ``nodes`` given, every requested
-    node is present (zero when absent from M); set volume d_mu(S) is the sum of
-    the member values."""
+def motif_degrees(M: Iterable[MotifOccurrence]) -> dict[int, int]:
+    """d_mu(v): occurrences containing v, for every node of some occurrence;
+    set volume d_mu(S) is the sum of the member values."""
     counts: Counter[int] = Counter()
     for occ in M:
         counts.update(occ.nodes)
-    if nodes is None:
-        return dict(counts)
-    return {v: counts.get(v, 0) for v in nodes}
+    return dict(counts)

@@ -5,8 +5,9 @@ doubled pair graph W the hypergraph carries (see ``auxiliary``). Refinement is
 Fiduccia-Mattheyses on W, with one lazy max-gain heap per block, restarted
 under randomized imbalance. Block 0 is the cluster side (holds the seed
 nodes); block 1 holds the contracted node u. The contracted node never moves;
-seeds are free during refinement and moved back to block 0 afterwards. States
-are scored with ``conductance.motif_conductance``.
+every other node, seeds included, is free during refinement, and seeds are
+moved back to block 0 afterwards. States are scored with
+``conductance.motif_conductance`` over the aux's own motif volumes.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .auxiliary import AuxHypergraph
 from .conductance import cut_net, motif_conductance
 from .errors import ConstraintError, InputError, RefinementError
 
 Blocks = list[int]
+
+MAX_PASSES = 10  # FM passes per refinement
+MAX_ATTEMPTS = 10_000  # rejection-sampling draws for a feasible random start
 
 
 def size_bound(num_nodes: int, eps: float) -> int:
@@ -49,9 +53,7 @@ def enforce_consistency(aux: AuxHypergraph, blocks: Sequence[int]) -> Blocks:
     return out
 
 
-def random_feasible_partition(
-    aux: AuxHypergraph, eps: float, rng: random.Random, max_attempts: int = 10000
-) -> Blocks:
+def random_feasible_partition(aux: AuxHypergraph, eps: float, rng: random.Random) -> Blocks:
     """u in block 1, seeds in block 0, the rest uniform subject to the size cap."""
     n = aux.num_nodes
     bound = size_bound(n, eps)
@@ -62,7 +64,7 @@ def random_feasible_partition(
     base = [0] * n
     base[aux.u] = 1
     free = [v for v in range(n) if v != aux.u and v not in aux.seed_nodes]
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         blocks = list(base)
         for v in free:
             blocks[v] = 1 if rng.random() < 0.5 else 0
@@ -85,13 +87,12 @@ def fm_refine(
     aux: AuxHypergraph,
     blocks: Sequence[int],
     eps: float,
-    max_passes: int = 10,
-    movable: Iterable[int] | None = None,
     observer: Callable | None = None,
 ) -> Blocks:
     """FM passes: move the best-gain unlocked node that keeps the size bound,
     lock it, and roll back to the best prefix at pass end. Stops when a pass
-    brings no improvement. Never returns a worse cut than it received; a
+    brings no improvement, or after MAX_PASSES passes. Every node except u
+    may move, seeds included. Never returns a worse cut than it received; a
     worse cut raises RefinementError.
 
     Gains are taken on the pair graph W, where they are exactly twice the
@@ -104,26 +105,21 @@ def fm_refine(
     key, so the first entry that matches its node's key is the block's best
     move.
 
-    By default u and the seed nodes are not movable; a caller may widen
-    ``movable`` (u is excluded regardless). ``observer(event, blocks, moved,
-    cut)`` is called with event "pass" at each pass start and "move" after
-    each committed move (before any rollback), with the cut in cut-net units;
-    observers must not mutate ``blocks``.
+    ``observer(event, blocks, moved, cut)`` is called with event "pass" at
+    each pass start and "move" after each committed move (before any
+    rollback), with the cut in cut-net units; observers must not mutate
+    ``blocks``.
     """
     blocks = list(blocks)
     initial_cut = 2 * cut_net(aux, blocks)  # W units from here on
     bound = size_bound(aux.num_nodes, eps)
-    if movable is None:
-        movable_set = frozenset(range(aux.num_nodes)) - {aux.u} - aux.seed_nodes
-    else:
-        movable_set = frozenset(movable) - {aux.u}
     nbrs = aux.neighbors
     n = len(blocks)
     push = heapq.heappush
     pop = heapq.heappop
     heapreplace = heapq.heapreplace
     cur = initial_cut
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         if observer is not None:
             observer("pass", blocks, None, cur >> 1)
         ones = sum(blocks)
@@ -131,7 +127,7 @@ def fm_refine(
         key = [0] * n  # negated W gain
         free = [False] * n  # movable and not yet moved in this pass
         heaps: tuple[list, list] = ([], [])
-        for v in movable_set:
+        for v in range(aux.u):  # every node but u, the last one
             side = blocks[v]
             k = 0
             for x, w in nbrs[v]:
@@ -205,45 +201,36 @@ def partition_search(
     beta: int,
     eps_range: tuple[float, float],
     rng: random.Random,
-    volumes: Sequence[int],
     total: int,
-    max_passes: int = 10,
 ) -> tuple[Blocks, Fraction] | None:
     """Best consistent partition over ``beta`` randomized-imbalance restarts.
 
-    ``volumes[a]`` is the motif degree behind aux node a (0 for u) and
-    ``total`` the global motif volume, so a state with block-0 volume vol0
-    scores motif_conductance(cut, vol0, total). Each run draws its own RNG
-    stream from the master rng, samples eps uniformly from ``eps_range``,
-    initializes randomly, refines with the seeds free, enforces consistency
-    and scores the final state. Every consistent state visited during
-    refinement is scored as well: refinement minimizes the cut, so the
-    best-conductance state is often mid-trajectory rather than final. Ties
-    break by smaller cut-net, then smaller block 0, then first found.
-    Returns None when no state had a defined conductance.
+    ``total`` is the global motif volume, so a state whose block 0 holds
+    motif volume vol0 (summed from ``aux.volumes``) scores
+    motif_conductance(cut, vol0, total). Each run draws its own RNG stream
+    from the master rng, samples eps uniformly from ``eps_range``,
+    initializes randomly, refines, enforces consistency and scores the final
+    state. Every consistent state visited during refinement is scored as
+    well: refinement minimizes the cut, so the best-conductance state is
+    often mid-trajectory rather than final. Ties break by smaller cut-net,
+    then smaller block 0, then first found. Returns None when no state had a
+    defined conductance.
     """
     if beta < 1:
         raise InputError(f"beta must be >= 1, got {beta}")
     lo, hi = eps_range
     if not (0 < lo <= hi):
         raise InputError(f"invalid eps range {eps_range!r}")
-    movable = frozenset(range(aux.num_nodes)) - {aux.u}
     run_seeds = [rng.randrange(2**63) for _ in range(beta)]
     best = _Best()
     for i, run_seed in enumerate(run_seeds):
         r = random.Random(run_seed)
         eps = lo if lo == hi else r.uniform(lo, hi)
         init = random_feasible_partition(aux, eps, r)
-        observer = _StateScorer(aux, volumes, total, i, best)
-        refined = fm_refine(
-            aux, init, eps, max_passes=max_passes, movable=movable, observer=observer
-        )
+        scorer = _StateScorer(aux, total, i, best)
+        refined = fm_refine(aux, init, eps, observer=scorer)
         final = enforce_consistency(aux, refined)
-        cut = cut_net(aux, final)
-        vol0 = sum(volumes[a] for a in range(aux.u) if final[a] == 0)
-        phi = motif_conductance(cut, vol0, total)
-        if phi is not None:
-            best.consider((phi, cut, len(final) - sum(final), i), final)
+        scorer.rescore(final, cut_net(aux, final))
     if best.blocks is None:
         return None
     return best.blocks, best.key[0]
@@ -267,15 +254,15 @@ class _Best:
 
 class _StateScorer:
     """fm_refine observer: tracks (cut, block-0 volume, stray seeds, block-0
-    size) incrementally and offers every consistent state to the search."""
+    size) incrementally and offers every consistent state to the search.
+    ``rescore`` recounts them from scratch, at each pass start and for the
+    restart's final state."""
 
     __slots__ = ("aux", "volumes", "total", "run", "best", "vol0", "size0", "displaced", "seeds")
 
-    def __init__(
-        self, aux: AuxHypergraph, volumes: Sequence[int], total: int, run: int, best: _Best
-    ):
+    def __init__(self, aux: AuxHypergraph, total: int, run: int, best: _Best):
         self.aux = aux
-        self.volumes = volumes
+        self.volumes = aux.volumes
         self.total = total
         self.run = run
         self.best = best
@@ -285,22 +272,30 @@ class _StateScorer:
         self.displaced = 0
 
     def __call__(self, event: str, blocks: Sequence[int], moved: int | None, cut: int) -> None:
-        vols = self.volumes
         if event == "pass":
-            self.vol0 = sum(vols[a] for a in range(self.aux.u) if blocks[a] == 0)
-            self.size0 = len(blocks) - sum(blocks)
-            self.displaced = sum(1 for s in self.seeds if blocks[s] == 1)
+            self.rescore(blocks, cut)
+            return
+        vols = self.volumes
+        if blocks[moved] == 0:  # moved into block 0
+            self.vol0 += vols[moved]
+            self.size0 += 1
+            if moved in self.seeds:
+                self.displaced -= 1
         else:
-            if blocks[moved] == 0:  # moved into block 0
-                self.vol0 += vols[moved]
-                self.size0 += 1
-                if moved in self.seeds:
-                    self.displaced -= 1
-            else:
-                self.vol0 -= vols[moved]
-                self.size0 -= 1
-                if moved in self.seeds:
-                    self.displaced += 1
+            self.vol0 -= vols[moved]
+            self.size0 -= 1
+            if moved in self.seeds:
+                self.displaced += 1
+        self._offer(blocks, cut)
+
+    def rescore(self, blocks: Sequence[int], cut: int) -> None:
+        vols = self.volumes
+        self.vol0 = sum(vols[a] for a in range(self.aux.u) if blocks[a] == 0)
+        self.size0 = len(blocks) - sum(blocks)
+        self.displaced = sum(1 for s in self.seeds if blocks[s] == 1)
+        self._offer(blocks, cut)
+
+    def _offer(self, blocks: Sequence[int], cut: int) -> None:
         if self.displaced:
             return
         key = self.best.key

@@ -13,6 +13,11 @@ ball, and |M|, the pattern's occurrence count in the whole hypergraph, comes
 from ``motifs.count_motifs``. Under ``scope="paper"`` with pattern I the cut
 and d_mu(C) come from the N[B]-restricted enumeration instead, while |M|
 stays global and exact.
+
+The search takes d_mu from the auxiliary hypergraph (half the W degree). The
+winner's d_mu(C) is then counted once more, straight from its occurrences
+(``motif_degrees``), and a phi that disagrees with that count raises
+InternalError.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .conductance import motif_conductance
 from .core import Hypergraph
 from .errors import InputError, InternalError
 from .motifs import MotifPattern, count_motifs, enumerate_motifs, motif_degrees
-from .partition import cut_net, partition_search
+from .partition import cut_net, partition_search, size_bound
 
 _PHASES = ("ingest", "ball", "enumerate", "aux", "partition", "total")
 
@@ -197,6 +202,15 @@ def run_local_clustering(
         balls = [core_ball(H, seed_members, max(config.min_ball, len(seed_members)))]
     else:
         balls = bfs_balls(H, seed_members, config.alpha, config.min_ball)
+    # each restart keeps the seed in one block, capped at no less than this
+    smallest = min(len(ball.nodes) for ball in balls)
+    bound = size_bound(smallest + 1, config.eps_min)
+    if len(seed_members) > bound:
+        raise InputError(
+            f"the {len(seed_members)}-node seed hyperedge does not fit in one block "
+            f"of a {smallest}-node ball at eps {config.eps_min} (at most {bound} "
+            f"nodes); raise --min-ball or --eps-min"
+        )
     times["ball"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -217,16 +231,13 @@ def run_local_clustering(
         any_motifs = True
         t0 = time.perf_counter()
         aux = build_aux(M, ball, seed_members)
-        dmu = motif_degrees(M)
         times["aux"] += time.perf_counter() - t0
-        volumes = [dmu.get(aux.back_map[a], 0) for a in range(aux.u)] + [0]
         t0 = time.perf_counter()
         found = partition_search(
             aux,
             config.beta,
             (config.eps_min, config.eps_max),
             random.Random(ball_seed),
-            volumes,
             total,
         )
         times["partition"] += time.perf_counter() - t0
@@ -242,7 +253,6 @@ def run_local_clustering(
                 "ball": ball,
                 "M": M,
                 "aux": aux,
-                "volumes": volumes,
                 "blocks": blocks,
                 "phi": phi,
                 "cut": cut,
@@ -272,14 +282,17 @@ def run_local_clustering(
         ball = best["ball"]
         aux = best["aux"]
         blocks = best["blocks"]
-        cluster_aux = [a for a in range(aux.u) if blocks[a] == 0]
-        cluster_ids = [aux.back_map[a] for a in cluster_aux]
-        vol_cluster = sum(best["volumes"][a] for a in cluster_aux)
+        cluster_ids = [aux.back_map[a] for a in range(aux.u) if blocks[a] == 0]
+        t0 = time.perf_counter()
+        dmu = motif_degrees(best["M"])
+        vol_cluster = sum(dmu.get(v, 0) for v in cluster_ids)
+        times["aux"] += time.perf_counter() - t0
         phi: Fraction = best["phi"]
         volume_used = min(vol_cluster, total - vol_cluster)
         if phi != motif_conductance(best["cut"], vol_cluster, total):
             raise InternalError(
-                f"search phi {phi} does not match cut {best['cut']} over volume {volume_used}"
+                f"search phi {phi} does not match cut {best['cut']} over the "
+                f"occurrence-counted volume {volume_used}"
             )
         report.status = "ok"
         report.cluster = sorted(parsed.labels[v] for v in cluster_ids)
@@ -339,35 +352,25 @@ def run_benchmark(
     rows: list[dict] = []
     reports: list[mio.ClusterReport] = []
     failures: list[tuple[str, str, str]] = []
+
+    def fail(config: RunConfig, exc: Exception) -> None:
+        graph = config.dataset or config.input
+        failures.append((graph, config.method, str(exc)))
+        rows.append(
+            {"graph": graph, "method": config.method, "phi": "", "cluster_size": "", "time_s": ""}
+        )
+
     for config in configs:
         try:
             expanded = expand_bench_config(config)
         except Exception as exc:  # noqa: BLE001 - per-row failure, not fatal
-            failures.append((config.dataset or config.input, config.method, str(exc)))
-            rows.append(
-                {
-                    "graph": config.dataset or config.input,
-                    "method": config.method,
-                    "phi": "",
-                    "cluster_size": "",
-                    "time_s": "",
-                }
-            )
+            fail(config, exc)
             continue
         for single in expanded:
             try:
                 report = run_local_clustering(single)
             except Exception as exc:  # noqa: BLE001
-                failures.append((single.dataset or single.input, single.method, str(exc)))
-                rows.append(
-                    {
-                        "graph": single.dataset or single.input,
-                        "method": single.method,
-                        "phi": "",
-                        "cluster_size": "",
-                        "time_s": "",
-                    }
-                )
+                fail(single, exc)
                 continue
             reports.append(report)
             if output_dir:

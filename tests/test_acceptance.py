@@ -119,7 +119,7 @@ def test_criterion_3_conductance_equivalence():
     defined; where it is not, the direct route is 0/0 or has a motif-free
     cluster (phi 0 by convention)."""
     compared = 0
-    for H, _seed, _ball, pattern, M_ball, aux, blocks in _contraction_instances():
+    for H, _seed, _ball, pattern, _M, aux, blocks in _contraction_instances():
         cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}
         M_global = brute_motifs(H, pattern)
         try:
@@ -127,7 +127,7 @@ def test_criterion_3_conductance_equivalence():
         except UndefinedConductanceError:
             direct = None
         try:
-            via = conductance_via_aux(aux, blocks, motif_degrees(M_ball), 3 * len(M_global))
+            via = conductance_via_aux(aux, blocks, 3 * len(M_global))
         except UndefinedConductanceError:
             assert direct is None or direct.volume_used == 0
             continue
@@ -269,12 +269,12 @@ def test_criterion_6_phi_range_and_refine_counters():
     """Every defined conductance recorded by criteria 1-5 lies in [0, 1] and
     fm_refine never increased a cut. A worse cut raises RefinementError out
     of every pipeline run in criteria 4-5; here refinement is also checked
-    directly on the 100 contraction instances with every node movable."""
+    directly on the 100 contraction instances."""
     assert _PHIS, "criteria 3-5 recorded no conductance values"
     assert all(0 <= phi <= 1 for phi in _PHIS)
     instances = _contraction_instances()
     for *_rest, aux, blocks in instances:
-        after = fm_refine(aux, blocks, 1.0, movable=range(aux.num_nodes))
+        after = fm_refine(aux, blocks, 1.0)
         assert cut_net(aux, after) <= cut_net(aux, blocks)
     print(
         f"\nPASS criterion 6: {len(_PHIS)} recorded phi values all in [0,1]; "

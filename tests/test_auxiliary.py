@@ -1,4 +1,5 @@
 import random
+from itertools import cycle
 
 import pytest
 
@@ -6,16 +7,25 @@ from motifclust import (
     COMPLEMENT,
     AuxHypergraph,
     ConstraintError,
+    Hypergraph,
     InputError,
     MotifOccurrence,
     MotifPattern,
+    bfs_balls,
     build_aux,
+    core_ball,
     cut_net,
     enumerate_motifs,
     motif_cut,
+    motif_degrees,
 )
 from motifclust.auxiliary import dump_aux
-from motifclust.testing import brute_motifs, random_ball_nodes, random_hypergraph
+from motifclust.testing import (
+    brute_motifs,
+    random_ball_nodes,
+    random_hypergraph,
+    synthetic_contact_edges,
+)
 
 
 def occ(*nodes):
@@ -47,6 +57,35 @@ def test_aux_pair_graph_doubles_weights():
     aux = AuxHypergraph(3, [((0, 1, 2), 2), ((2, 3), 3)], seed_nodes=[0])
     assert aux.pairs == ((0, 1, 2), (0, 2, 2), (1, 2, 2), (2, 3, 6))
     assert aux.neighbors[2] == ((0, 2), (1, 2), (3, 6))
+
+
+def _assert_volumes_are_motif_degrees(H, ball, seed):
+    for pattern in MotifPattern:
+        for scope in ("exact", "paper"):
+            M = enumerate_motifs(H, ball, pattern, scope)
+            if not M:
+                continue
+            aux = build_aux(M, ball, seed)
+            dmu = motif_degrees(M)
+            for a in range(aux.u):
+                assert aux.volumes[a] == dmu.get(aux.back_map[a], 0), (pattern, scope, a)
+            assert aux.volumes[aux.u] == 0
+
+
+def test_aux_volumes_are_motif_degrees():
+    # d_mu(a) = deg_W(a) / 2 for every ball node, under both scopes, on
+    # criterion 1's random hypergraphs and on the core and BFS balls of a
+    # contact-style instance
+    rng = random.Random(53)
+    densities = cycle([(0.12, 0.04), (0.22, 0.10), (0.35, 0.18)])
+    for _ in range(60):
+        H = random_hypergraph(rng, rng.randint(4, 12), *next(densities), big_edge_p=0.02)
+        seed = H.edge(rng.randrange(H.num_edges)).members
+        _assert_volumes_are_motif_degrees(H, random_ball_nodes(rng, H, seed), seed)
+    H = Hypergraph.from_members(synthetic_contact_edges(n_edges=2000))
+    seed = H.edge(0).members
+    for ball in [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100):
+        _assert_volumes_are_motif_degrees(H, ball.nodes, seed)
 
 
 def test_aux_rejects_more_than_three_pins():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -68,6 +72,26 @@ def test_cluster_command_bad_random_count_exit_2(tmp_path):
     )
     assert result.exit_code == 2
     assert "cannot parse random seed count in 'random:x'" in result.output
+
+
+def test_cluster_command_seed_over_block_bound_exit_2(tmp_path):
+    # the whole graph is the 5-node seed, too large for one block of its ball
+    data = tmp_path / "f.txt"
+    data.write_text("a b c d e\na b c\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "motifclust", "cluster", "--input", str(data),
+         "--motif", "III", "--seed-edge", "index:0", "--output", "-"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "5-node seed hyperedge" in result.stderr
 
 
 def test_cluster_command_no_motifs_exit_3(tmp_path):

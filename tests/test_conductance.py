@@ -13,7 +13,6 @@ from motifclust import (
     enumerate_motifs,
     motif_conductance,
     motif_cut,
-    motif_degrees,
 )
 from motifclust.testing import random_ball_nodes, random_hypergraph
 
@@ -76,28 +75,28 @@ def test_via_aux_uses_the_complement_when_the_ball_outweighs_it():
     B = {0, 1, 2}
     M_ball = enumerate_motifs(H, B, MotifPattern.III)
     aux = build_aux(M_ball, B, [0, 1, 2])
-    dmu = motif_degrees(M_ball)
     blocks = [0, 0, 0, 1]
-    via = conductance_via_aux(aux, blocks, dmu, 3 * len(M))
+    via = conductance_via_aux(aux, blocks, 3 * len(M))
     direct = conductance_direct(M, B)
     assert via.phi == direct.phi == Fraction(1, 2)
     assert (via.motif_cut, via.volume_used, via.side) == (1, 2, "complement")
 
 
 def test_via_aux_requires_consistent_u_and_positive_volume():
-    H, _ = two_triad_toy()
-    B = {0, 1, 2}
+    # the ball holds the first triad and the motif-free dyad {5, 6}
+    H = Hypergraph.from_members([[0, 1, 2], [2, 3, 4], [5, 6]])
+    B = {0, 1, 2, 5, 6}
     M_ball = enumerate_motifs(H, B, MotifPattern.III)
     aux = build_aux(M_ball, B, [0, 1, 2])
-    dmu = motif_degrees(M_ball)
+    assert aux.volumes == (1, 1, 2, 0, 0, 0)
     from motifclust import ConstraintError
 
     with pytest.raises(ConstraintError):
-        conductance_via_aux(aux, [1, 1, 1, 0], dmu, 6)
+        conductance_via_aux(aux, [1, 1, 1, 1, 1, 0], 6)
     with pytest.raises(UndefinedConductanceError):
-        conductance_via_aux(aux, [0, 0, 0, 1], {v: 0 for v in range(5)}, 6)
+        conductance_via_aux(aux, [1, 1, 1, 0, 0, 1], 6)  # block 0 is motif-free
     with pytest.raises(UndefinedConductanceError):
-        conductance_via_aux(aux, [0, 0, 0, 1], dmu, 4)  # nothing outside the ball
+        conductance_via_aux(aux, [0, 0, 0, 0, 0, 1], 4)  # nothing outside the ball
 
 
 def test_motif_conductance_is_cut_over_the_smaller_side():
@@ -126,7 +125,6 @@ def test_aux_route_equals_direct_route_randomized():
             continue
         M_global = enumerate_motifs(H, frozenset(range(H.n)), pattern)
         aux = build_aux(M_ball, ball, seed)
-        dmu = motif_degrees(M_ball)
         blocks = [rng.randint(0, 1) for _ in range(aux.num_nodes)]
         blocks[aux.u] = 1
         for s in aux.seed_nodes:
@@ -138,7 +136,7 @@ def test_aux_route_equals_direct_route_randomized():
         except UndefinedConductanceError:
             direct = None
         try:
-            via = conductance_via_aux(aux, blocks, dmu, 3 * len(M_global))
+            via = conductance_via_aux(aux, blocks, 3 * len(M_global))
         except UndefinedConductanceError:
             assert direct is None or direct.volume_used == 0
             continue

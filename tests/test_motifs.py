@@ -141,5 +141,4 @@ def test_motif_degrees():
     degrees = motif_degrees(M)
     assert degrees[2] == 2 and degrees[0] == 1
     assert motif_degrees([]) == {}
-    assert motif_degrees([], nodes=[3]) == {3: 0}
     assert sum(motif_degrees(M).values()) == 3 * len(M)

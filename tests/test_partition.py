@@ -100,9 +100,8 @@ def test_fm_refine_keeps_fixed_nodes():
     for _ in range(30):
         aux = random_aux(rng)
         blocks = random_feasible_partition(aux, 0.4, rng)
-        refined = fm_refine(aux, blocks, 0.4)  # default: u and seeds pinned
+        refined = fm_refine(aux, blocks, 0.4)  # every node but u may move
         assert refined[aux.u] == 1
-        assert all(refined[s] == 0 for s in aux.seed_nodes)
 
 
 def hyperedge_cut(aux, blocks):
@@ -135,14 +134,14 @@ def test_fm_refine_toy_no_worse_than_start():
     start = [0, 0, 1, 1]
     refined = fm_refine(free_aux, start, 0.5)
     assert cut_net(free_aux, refined) <= cut_net(free_aux, start) == 1
-    # already optimal: locked toy cannot change
+    # already optimal: no move lowers the cut
     assert fm_refine(aux, [0, 0, 0, 1], 0.5) == [0, 0, 0, 1]
 
 
 def test_fm_observer_cut_tracking_and_nonempty_blocks():
     # the cut reported after every committed move equals a recomputation, and
-    # no visited state (nor the result) ever empties a block, even with every
-    # node movable and a bound loose enough to allow it
+    # no visited state (nor the result) ever empties a block, even with a
+    # bound loose enough to allow it
     rng = random.Random(6)
     for _ in range(40):
         aux = random_aux(rng)
@@ -154,7 +153,7 @@ def test_fm_observer_cut_tracking_and_nonempty_blocks():
                 assert 0 < sum(live) < len(live)
                 assert cut_net(aux, live) == cut
 
-        out = fm_refine(aux, blocks, eps, observer=observer, movable=range(aux.num_nodes))
+        out = fm_refine(aux, blocks, eps, observer=observer)
         assert 0 < sum(out) < len(out)
 
 
@@ -171,40 +170,38 @@ def test_enforce_consistency():
 
 def test_partition_search_toy():
     aux = toy_aux()
-    volumes = [1, 1, 2, 0]  # degrees from the two-triad toy, 0 for u
+    assert aux.volumes == (1, 1, 2, 0)  # degrees from the two-triad toy, 0 for u
     # the toy's global volume is 6: the ball {0, 1, 2} outweighs its complement
-    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), volumes, 6)
+    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), 6)
     assert found is not None
     blocks, phi = found
     assert blocks == [0, 0, 0, 1]
     assert phi == Fraction(1, 2)
     # with more volume outside the ball, the cluster side is the denominator
-    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), volumes, 12)
+    found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), 12)
     assert found[1] == Fraction(1, 4)
     # no state with motif volume on both sides
-    assert partition_search(aux, 5, (0.03, 0.5), random.Random(0), volumes, 4) is None
+    assert partition_search(aux, 5, (0.03, 0.5), random.Random(0), 4) is None
 
 
 def test_partition_search_beta_one_and_validation():
     aux = toy_aux()
-    volumes = [1, 1, 2, 0]
-    found = partition_search(aux, 1, (0.1, 0.1), random.Random(7), volumes, 6)
+    found = partition_search(aux, 1, (0.1, 0.1), random.Random(7), 6)
     assert found is not None
     with pytest.raises(InputError):
-        partition_search(aux, 0, (0.03, 0.5), random.Random(0), volumes, 6)
+        partition_search(aux, 0, (0.03, 0.5), random.Random(0), 6)
     with pytest.raises(InputError):
-        partition_search(aux, 1, (0.0, 0.5), random.Random(0), volumes, 6)
+        partition_search(aux, 1, (0.0, 0.5), random.Random(0), 6)
 
 
 def test_partition_search_monotone_in_beta():
     rng = random.Random(8)
     aux = random_aux(rng)
-    volumes = [rng.randint(1, 4) for _ in range(aux.u)] + [0]
-    total = 2 * sum(volumes)
+    total = 2 * sum(aux.volumes)
 
     phis = []
     for beta in (1, 4, 16):
-        found = partition_search(aux, beta, (0.03, 0.5), random.Random(42), volumes, total)
+        found = partition_search(aux, beta, (0.03, 0.5), random.Random(42), total)
         phis.append(found[1] if found else None)
     defined = [p for p in phis if p is not None]
     assert defined == sorted(defined, reverse=True) or len(defined) < 2
@@ -239,20 +236,17 @@ def test_partition_search_matches_exhaustive_toy_scale():
         aux = build_aux(M, ball, seed)
         if aux.u - len(aux.seed_nodes) > 10:
             continue  # keep the exhaustive side cheap
-        dmu = motif_degrees(M)
-        volumes = [dmu.get(aux.back_map[a], 0) for a in range(aux.u)] + [0]
+        dmu = motif_degrees(M)  # the reference counts volumes from the occurrences
         total = 3 * count_motifs(H, pattern)
 
         best = None
         for blocks in all_consistent_partitions(aux):
-            vol0 = sum(volumes[a] for a in range(aux.u) if blocks[a] == 0)
+            vol0 = sum(dmu.get(aux.back_map[a], 0) for a in range(aux.u) if blocks[a] == 0)
             phi = motif_conductance(cut_net(aux, blocks), vol0, total)
             if phi is not None and (best is None or phi < best):
                 best = phi
         checked += 1
-        found = partition_search(
-            aux, 200, (0.03, 1.0), random.Random(1000 + checked), volumes, total
-        )
+        found = partition_search(aux, 200, (0.03, 1.0), random.Random(1000 + checked), total)
         got = None if found is None else found[1]
         if (best is None and got is None) or got == best:
             hits += 1

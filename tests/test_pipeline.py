@@ -5,9 +5,10 @@ import pytest
 
 from motifclust import InputError, MotifPattern, RunConfig, run_benchmark, run_local_clustering
 from motifclust.conductance import conductance_via_aux
-from motifclust.motifs import enumerate_motifs, motif_degrees
+from motifclust.motifs import enumerate_motifs
 from motifclust.pipeline import expand_bench_config, resolve_seed_edges
 from motifclust.io import parse_edge_list
+from motifclust.testing import synthetic_contact_edges
 
 
 TOY = "a b v\nv c d\n"
@@ -76,9 +77,7 @@ def test_pipeline_report_invariants_and_self_consistency(tmp_path):
     # reported phi is recomputable from the persisted partition
     H = details.hypergraph
     total = 3 * len(enumerate_motifs(H, range(H.n), MotifPattern.III))
-    recomputed = conductance_via_aux(
-        details.aux, details.blocks, motif_degrees(details.occurrences), total
-    )
+    recomputed = conductance_via_aux(details.aux, details.blocks, total)
     assert recomputed.motif_cut == report.motif_cut
     assert Fraction(report.phi_exact) == recomputed.phi
     assert recomputed.volume_used == report.volume_used
@@ -160,3 +159,17 @@ def test_dataset_smaller_than_min_ball_still_completes(tmp_path):
     # the whole component becomes the single ball
     report = run_local_clustering(toy_config(tmp_path, min_ball=100))
     assert report.status == "ok" and report.ball_size == 5
+
+
+def test_seed_larger_than_the_block_bound_is_an_input_error(tmp_path):
+    # the first BFS ball is the 5-node seed itself, and one block of a
+    # 6-node aux holds at most ceil(1.03 * 3) = 4 nodes
+    data = tmp_path / "contact.txt"
+    data.write_text(
+        "".join(" ".join(map(str, e)) + "\n" for e in synthetic_contact_edges(n_edges=2000))
+    )
+    config = RunConfig(
+        input=str(data), seed_edge="index:1", motif="VI", method="bfs", min_ball=4
+    )
+    with pytest.raises(InputError, match="5-node seed .* 5-node ball .* --min-ball or --eps-min"):
+        run_local_clustering(config)
