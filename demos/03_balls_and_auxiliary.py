@@ -10,7 +10,6 @@ from fractions import Fraction
 from motifclust import (
     MotifPattern,
     bfs_balls,
-    bfs_layers,
     build_aux,
     conductance_direct,
     conductance_via_aux,
@@ -31,7 +30,8 @@ parsed = parse_edge_list(io.StringIO("\n".join(pocket_a + pocket_b + corridor)))
 H = parsed.hypergraph
 seed = (0, 1, 2)
 
-print("BFS layers from the seed:", bfs_layers(H, seed))
+# the bfs balls are cumulative unions of the seed's BFS layers
+print("BFS layers from the seed:", list(H.bfs(seed)))
 for ball in bfs_balls(H, seed, alpha=3, min_size=4):
     print(f"bfs ball through layer {ball.detail}: {sorted(ball.nodes)}")
 B = core_ball(H, seed, min_size=3)

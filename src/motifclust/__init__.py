@@ -7,8 +7,8 @@ repeatedly 2-way partition it under randomized imbalance, keeping the best
 motif conductance.
 """
 
-from .auxiliary import COMPLEMENT, AuxHypergraph, build_aux, dump_aux
-from .balls import Ball, CoreDecomposition, bfs_balls, bfs_layers, core_ball, nbr_core_decomposition
+from .auxiliary import COMPLEMENT, AuxHypergraph, build_aux
+from .balls import Ball, CoreDecomposition, bfs_balls, core_ball, nbr_core_decomposition
 from .conductance import (
     ConductanceResult,
     conductance_direct,
@@ -39,7 +39,6 @@ from .partition import (
     cut_net,
     enforce_consistency,
     fm_refine,
-    is_consistent,
     partition_search,
     random_feasible_partition,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "RunConfig",
     "UndefinedConductanceError",
     "bfs_balls",
-    "bfs_layers",
     "build_aux",
     "classify_triple",
     "conductance_direct",
@@ -76,11 +74,9 @@ __all__ = [
     "core_ball",
     "count_motifs",
     "cut_net",
-    "dump_aux",
     "enforce_consistency",
     "enumerate_motifs",
     "fm_refine",
-    "is_consistent",
     "motif_conductance",
     "motif_cut",
     "motif_degrees",

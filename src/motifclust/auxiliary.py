@@ -106,9 +106,6 @@ class AuxHypergraph:
     def edges(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple(zip(self._members, self._weights))
 
-    def total_weight(self) -> int:
-        return sum(self._weights)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AuxHypergraph(ball={self.u}, m={self.num_edges})"
 
@@ -148,10 +145,3 @@ def build_aux(
         back_map=ball_nodes,
     )
 
-
-def dump_aux(aux: AuxHypergraph, path) -> None:
-    """Debug dump: one line per aux hyperedge, members then weight."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# aux hypergraph: member aux-ids then weight; u = %d\n" % aux.u)
-        for members, weight in aux.edges:
-            fh.write(" ".join(str(v) for v in members) + f" {weight}\n")

@@ -128,42 +128,6 @@ def core_ball(
     return Ball(comp, "core", used_k)
 
 
-def bfs_layers(H: Hypergraph, seed: Iterable[int]) -> list[list[int]]:
-    """Layered hypergraph BFS; layer 0 is the seed's nodes.
-
-    Any nonempty node set works as layer 0 (ball construction passes a seed
-    hyperedge's nodes). A hyperedge is traversed when any member is expanded,
-    enqueueing all its unvisited members into the next layer. Deterministic:
-    layers are sorted.
-    """
-    members = tuple(sorted(set(seed)))
-    if not members:
-        raise InputError("bfs_layers needs a nonempty seed set")
-    for v in members:
-        H._check_node(v)
-    visited = set(members)
-    layers: list[list[int]] = [list(members)]
-    frontier = list(members)
-    edge_done = bytearray(H.num_edges)
-    while frontier:
-        nxt: set[int] = set()
-        for v in frontier:
-            for ei in H.incident_edges(v):
-                if edge_done[ei]:
-                    continue
-                edge_done[ei] = 1
-                for u in H.edge(ei).members:
-                    if u not in visited:
-                        visited.add(u)
-                        nxt.add(u)
-        if not nxt:
-            break
-        layer = sorted(nxt)
-        layers.append(layer)
-        frontier = layer
-    return layers
-
-
 def bfs_balls(
     H: Hypergraph, seed: Iterable[int], alpha: int = 3, min_size: int = 100
 ) -> list[Ball]:
@@ -171,27 +135,19 @@ def bfs_balls(
 
     The first depth is the smallest l whose cumulative union of layers 0..l has
     more than ``min_size`` nodes; if BFS exhausts first (the seed's component
-    has at most min_size nodes), the whole component is the single ball.
+    has at most min_size nodes), the whole component is the single ball. Every
+    layer of ``H.bfs`` is nonempty, so the balls strictly grow.
     """
     if alpha < 1:
         raise InputError(f"alpha must be >= 1, got {alpha}")
     if min_size < 1:
         raise InputError(f"min_size must be >= 1, got {min_size}")
-    layers = bfs_layers(H, seed)
-    cumulative: list[frozenset[int]] = []
-    acc: set[int] = set()
-    for layer in layers:
-        acc.update(layer)
-        cumulative.append(frozenset(acc))
-    first = next(
-        (l for l, nodes in enumerate(cumulative) if len(nodes) > min_size),
-        len(cumulative) - 1,
-    )
     balls: list[Ball] = []
-    seen: set[frozenset[int]] = set()
-    for l in range(first, min(first + alpha, len(cumulative))):
-        nodes = cumulative[l]
-        if nodes not in seen:
-            seen.add(nodes)
-            balls.append(Ball(nodes, "bfs", l))
-    return balls
+    nodes: set[int] = set()
+    for depth, layer in enumerate(H.bfs(seed)):
+        nodes.update(layer)
+        if balls or len(nodes) > min_size:
+            balls.append(Ball(frozenset(nodes), "bfs", depth))
+            if len(balls) == alpha:
+                break
+    return balls or [Ball(frozenset(nodes), "bfs", depth)]

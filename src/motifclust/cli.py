@@ -21,6 +21,12 @@ from .pipeline import RunConfig, run_benchmark, run_local_clustering
 CONTEXT = {"auto_envvar_prefix": "MOTIFCLUST", "help_option_names": ["-h", "--help"]}
 
 
+class InputFailure(click.ClickException):
+    """Bad input data or config: click prints one ``Error:`` line, exit code 2."""
+
+    exit_code = 2
+
+
 @click.group(context_settings=CONTEXT)
 def main() -> None:
     """Local motif-based clustering of hypergraphs."""
@@ -65,7 +71,7 @@ def cluster(
     try:
         report = run_local_clustering(config)
     except InputError as exc:
-        raise click.exceptions.UsageError(str(exc)) from exc
+        raise InputFailure(str(exc)) from exc
     if output == "-":
         mio.write_report(report, sys.stdout)
     if report.status != "ok":
@@ -86,31 +92,28 @@ def bench(config_path) -> None:
         with open(config_path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.exceptions.UsageError(f"cannot read bench config: {exc}") from exc
+        raise InputFailure(f"cannot read bench config: {exc}") from exc
     base = os.path.dirname(os.path.abspath(config_path))
 
     def _resolve(path):
         return path if path is None or os.path.isabs(path) else os.path.join(base, path)
 
-    runs = spec.get("runs")
-    if not runs:
-        raise click.exceptions.UsageError("bench config has no 'runs' entries")
+    runs = spec.get("runs") if isinstance(spec, dict) else None
+    if not isinstance(runs, list) or not runs:
+        raise InputFailure("bench config has no 'runs' entries")
     configs = []
     for entry in runs:
-        entry = dict(entry)
-        if "input" not in entry or "motif" not in entry or "seed_edge" not in entry:
-            raise click.exceptions.UsageError(
-                f"each run needs input, motif and seed_edge: {entry!r}"
-            )
-        entry["input"] = _resolve(entry["input"])
+        if not isinstance(entry, dict) or not {"input", "motif", "seed_edge"} <= entry.keys():
+            raise InputFailure(f"each run needs input, motif and seed_edge: {entry!r}")
+        entry = dict(entry, input=_resolve(entry["input"]))
         try:
             configs.append(RunConfig(**entry))
         except TypeError as exc:
-            raise click.exceptions.UsageError(f"bad run entry {entry!r}: {exc}") from exc
+            raise InputFailure(f"bad run entry {entry!r}: {exc}") from exc
     try:
         result = run_benchmark(configs, output_dir=_resolve(spec.get("output_dir")))
     except InputError as exc:
-        raise click.exceptions.UsageError(str(exc)) from exc
+        raise InputFailure(str(exc)) from exc
     csv_path = _resolve(spec.get("csv"))
     if csv_path:
         mio.write_benchmark_csv(result.rows, csv_path)

@@ -1,17 +1,18 @@
-"""Immutable hypergraph with an incidence index and neighborhood primitives.
+"""Immutable hypergraph with an incidence index and one layered BFS.
 
 Nodes are dense integers 0..n-1. Hyperedges are canonical strictly-increasing
 member tuples with at least two distinct members; no two hyperedges share the
 same member set (ingestion merges duplicates before construction). Everything
 downstream (ball selection, motif enumeration, partitioning) reads this object
-without mutating it, so it is safe to share across concurrent phases; the lazy
-adjacency caches memoize pure values and behave as if precomputed eagerly.
+without mutating it. ``Hypergraph.bfs`` is the one traversal: connected
+components, closed neighborhoods and the BFS balls of phase one all read its
+layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -77,10 +78,7 @@ class Hypergraph:
                 incidence[v].append(idx)
         self._edges: tuple[Hyperedge, ...] = tuple(norm)
         self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
-        # lazy caches (pure values; racy double-compute is benign)
-        self._nbr_cache: dict[int, frozenset[int]] = {}
-        self._small_index: tuple[frozenset, frozenset, dict, tuple] | None = None
-        self._edge_lookup: dict[Members, int] | None = None
+        self._small_index: tuple[frozenset, frozenset, dict] | None = None
 
     @classmethod
     def from_members(
@@ -117,41 +115,66 @@ class Hypergraph:
         self._check_node(v)
         return len(self._incidence[v])
 
-    def max_degree(self) -> int:
-        return max((len(inc) for inc in self._incidence), default=0)
-
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise InputError(f"node id {v} out of range [0, {self._n})")
 
     def edge_index_of(self, members: Iterable[int]) -> int | None:
         """Index of the hyperedge with exactly these members, or None."""
-        if self._edge_lookup is None:
-            self._edge_lookup = {e.members: i for i, e in enumerate(self._edges)}
-        return self._edge_lookup.get(canonical_members(members))
+        mem = canonical_members(members)
+        if mem[0] < 0 or mem[-1] >= self._n:
+            return None
+        for ei in self._incidence[mem[0]]:
+            if self._edges[ei].members == mem:
+                return ei
+        return None
 
-    # -- neighborhoods ---------------------------------------------------
+    # -- traversal -------------------------------------------------------
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood: every u != v sharing at least one hyperedge with v."""
-        self._check_node(v)
-        cached = self._nbr_cache.get(v)
-        if cached is None:
-            acc: set[int] = set()
-            for ei in self._incidence[v]:
-                acc.update(self._edges[ei].members)
-            acc.discard(v)
-            cached = frozenset(acc)
-            self._nbr_cache[v] = cached
-        return cached
+    def bfs(
+        self, start: Iterable[int], within: Iterable[int] | None = None
+    ) -> Iterator[list[int]]:
+        """Layered BFS over shared-hyperedge adjacency.
+
+        Yields the sorted start nodes, then each sorted layer of newly reached
+        nodes. A hyperedge is crossed when any of its members is expanded; with
+        ``within`` given, only hyperedges fully inside it are crossed, so the
+        walk stays in the strongly induced subhypergraph on ``within``.
+        """
+        layer = sorted(set(start))
+        if not layer:
+            raise InputError("bfs needs a nonempty start set")
+        for v in layer:
+            self._check_node(v)
+        allowed = None if within is None else frozenset(within)
+        visited = set(layer)
+        edge_done = bytearray(len(self._edges))
+        while layer:
+            yield layer
+            reached: set[int] = set()
+            for v in layer:
+                for ei in self._incidence[v]:
+                    if edge_done[ei]:
+                        continue
+                    edge_done[ei] = 1
+                    members = self._edges[ei].members
+                    if allowed is None or allowed.issuperset(members):
+                        reached.update(members)
+            reached -= visited
+            visited |= reached
+            layer = sorted(reached)
 
     def closed_neighborhood(self, nodes: Iterable[int]) -> frozenset[int]:
         """N[S] = S together with every neighbor of a node of S."""
-        acc: set[int] = set()
-        for v in nodes:
-            acc.add(v)
-            acc.update(self.neighbors(v))
-        return frozenset(acc)
+        nodes = set(nodes)
+        if not nodes:
+            return frozenset()
+        layers = self.bfs(nodes)
+        return frozenset(next(layers) + next(layers, []))
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        """Open neighborhood: every u != v sharing at least one hyperedge with v."""
+        return self.closed_neighborhood((v,)) - {v}
 
     # -- subhypergraphs and connectivity ----------------------------------
 
@@ -180,47 +203,18 @@ class Hypergraph:
     def connected_component(
         self, start: Iterable[int], within: Iterable[int] | None = None
     ) -> frozenset[int]:
-        """All nodes reachable from ``start`` via shared-hyperedge adjacency.
-
-        With ``within`` given, only hyperedges fully inside it are traversed:
-        the component of ``start`` in the strongly induced subhypergraph on
-        ``within``.
-        """
-        frontier = sorted(set(start))
-        if not frontier:
-            raise InputError("connected_component requires a nonempty start set")
-        for v in frontier:
-            self._check_node(v)
-        allowed = None if within is None else frozenset(within)
-        visited = set(frontier)
-        edge_done = bytearray(len(self._edges))
-        while frontier:
-            nxt: list[int] = []
-            for v in frontier:
-                for ei in self._incidence[v]:
-                    if edge_done[ei]:
-                        continue
-                    edge_done[ei] = 1
-                    members = self._edges[ei].members
-                    if allowed is not None and not allowed.issuperset(members):
-                        continue
-                    for u in members:
-                        if u not in visited:
-                            visited.add(u)
-                            nxt.append(u)
-            frontier = nxt
-        return frozenset(visited)
+        """All nodes reachable from ``start``: the union of ``bfs(start, within)``."""
+        return frozenset(v for layer in self.bfs(start, within) for v in layer)
 
     # -- small-edge index (dyads / triads), used by motif classification --
 
-    def _build_small_index(self) -> tuple[frozenset, frozenset, dict, tuple]:
+    def _build_small_index(self) -> tuple[frozenset, frozenset, dict]:
         idx = self._small_index
         if idx is None:
             dyads: set[tuple[int, int]] = set()
             triads: set[tuple[int, int, int]] = set()
-            triad_edge_ids: list[int] = []
             dyadic_adj: dict[int, set[int]] = {}
-            for i, e in enumerate(self._edges):
+            for e in self._edges:
                 if len(e.members) == 2:
                     a, b = e.members
                     dyads.add(e.members)
@@ -228,9 +222,8 @@ class Hypergraph:
                     dyadic_adj.setdefault(b, set()).add(a)
                 elif len(e.members) == 3:
                     triads.add(e.members)
-                    triad_edge_ids.append(i)
             adj = {v: frozenset(s) for v, s in dyadic_adj.items()}
-            idx = (frozenset(dyads), frozenset(triads), adj, tuple(triad_edge_ids))
+            idx = (frozenset(dyads), frozenset(triads), adj)
             self._small_index = idx
         return idx
 
@@ -248,9 +241,6 @@ class Hypergraph:
         """Neighbors of v via size-2 hyperedges only."""
         self._check_node(v)
         return self._build_small_index()[2].get(v, frozenset())
-
-    def triad_edge_indices(self) -> tuple[int, ...]:
-        return self._build_small_index()[3]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypergraph(n={self._n}, m={self.num_edges})"

@@ -119,8 +119,7 @@ def enumerate_motifs(
 
     if pattern.has_triadic:
         want = pattern.dyad_count
-        for ei in H.triad_edge_indices():
-            mem = H.edge(ei).members
+        for mem in triads:
             if B.isdisjoint(mem):
                 continue
             x, y, z = mem

@@ -35,11 +35,6 @@ def size_bound(num_nodes: int, eps: float) -> int:
     return math.ceil((1 + eps) * num_nodes / 2)
 
 
-def is_consistent(aux: AuxHypergraph, blocks: Sequence[int]) -> bool:
-    """Seed nodes in block 0 and u in block 1."""
-    return blocks[aux.u] == 1 and all(blocks[s] == 0 for s in aux.seed_nodes)
-
-
 def enforce_consistency(aux: AuxHypergraph, blocks: Sequence[int]) -> Blocks:
     """Relabel so u sits in block 1, then move stray seed nodes to block 0.
 

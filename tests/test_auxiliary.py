@@ -19,7 +19,6 @@ from motifclust import (
     motif_cut,
     motif_degrees,
 )
-from motifclust.auxiliary import dump_aux
 from motifclust.testing import (
     brute_motifs,
     random_ball_nodes,
@@ -117,7 +116,7 @@ def test_weight_conservation_and_u_mass_randomized():
         if not M:
             continue
         aux = build_aux(M, ball, seed)
-        assert aux.total_weight() == len(M)
+        assert sum(w for _, w in aux.edges) == len(M)
         crossing = sum(1 for o in M if not set(o.nodes) <= ball)
         u_mass = sum(w for members, w in aux.edges if aux.u in members)
         assert u_mass == crossing
@@ -150,12 +149,3 @@ def test_cut_net_equals_motif_cut_randomized():
         M_global = brute_motifs(H, pattern)
         assert cut_net(aux, blocks) == motif_cut(M_global, cluster)
         checked += 1
-
-
-def test_dump_aux(tmp_path):
-    aux = build_aux([occ(0, 1, 2), occ(2, 3, 4)], {0, 1, 2}, [0, 1, 2])
-    path = tmp_path / "aux.txt"
-    dump_aux(aux, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1:] == ["0 1 2 1", "2 3 1"]

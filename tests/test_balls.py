@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from motifclust import Hypergraph, InputError, bfs_balls, bfs_layers, core_ball, nbr_core_decomposition
+from motifclust import Hypergraph, InputError, bfs_balls, core_ball, nbr_core_decomposition
 from motifclust.testing import brute_nbr_core_numbers, random_hypergraph
 
 
@@ -28,7 +28,7 @@ def test_core_nesting_and_max_degree_bound():
     for _ in range(25):
         H = random_hypergraph(rng, rng.randint(3, 11), 0.25, 0.1, big_edge_p=0.02)
         decomp = nbr_core_decomposition(H)
-        assert decomp.max_core <= H.max_degree()
+        assert decomp.max_core <= max(H.degree(v) for v in range(H.n))
         for k in range(decomp.max_core + 1):
             assert decomp.level_set(k + 1) <= decomp.level_set(k)
 
@@ -72,17 +72,17 @@ def test_core_ball_rejects_non_edges_and_small_min_size():
 
 def test_bfs_layers_path():
     H = Hypergraph.from_members([[0, 1], [1, 2], [2, 3]])
-    assert bfs_layers(H, [0, 1]) == [[0, 1], [2], [3]]
+    assert list(H.bfs([0, 1])) == [[0, 1], [2], [3]]
 
 
 def test_bfs_layers_one_big_edge():
     H = Hypergraph.from_members([[0, 1, 2, 3]])
-    assert bfs_layers(H, [0, 1]) == [[0, 1], [2, 3]]
+    assert list(H.bfs([0, 1])) == [[0, 1], [2, 3]]
 
 
 def test_bfs_layers_seed_spans_component():
     H = Hypergraph.from_members([[0, 1], [2, 3]])
-    assert bfs_layers(H, [0, 1]) == [[0, 1]]
+    assert list(H.bfs([0, 1])) == [[0, 1]]
 
 
 def test_bfs_layers_partition_component():
@@ -92,7 +92,7 @@ def test_bfs_layers_partition_component():
         if H.num_edges == 0:
             continue
         seed = H.edge(rng.randrange(H.num_edges)).members
-        layers = bfs_layers(H, seed)
+        layers = list(H.bfs(seed))
         flat = [v for layer in layers for v in layer]
         assert len(flat) == len(set(flat))
         assert set(flat) == H.connected_component(seed)

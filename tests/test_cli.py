@@ -92,6 +92,9 @@ def test_cluster_command_seed_over_block_bound_exit_2(tmp_path):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "5-node seed hyperedge" in result.stderr
+    # an input error is one line, without click's usage text
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:")
 
 
 def test_cluster_command_no_motifs_exit_3(tmp_path):
@@ -154,3 +157,5 @@ def test_bench_command_bad_config(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["bench", "--config", str(config_path)])
     assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:")

@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from motifclust import Hyperedge, Hypergraph, InputError
-from motifclust.testing import random_hypergraph
+from motifclust.testing import random_hypergraph, synthetic_contact_edges
 
 
 def test_neighbors_single_edge():
@@ -57,6 +58,40 @@ def test_connected_component():
     assert H2.connected_component({0}, within={0, 1, 2, 3}) == {0, 1, 2, 3}
     with pytest.raises(InputError):
         H.connected_component(set())
+
+
+def test_bfs_within_crosses_only_inside_edges():
+    H = Hypergraph.from_members([[0, 1, 2], [2, 3], [3, 4], [1, 4]])
+    assert list(H.bfs([3])) == [[3], [2, 4], [0, 1]]
+    # [0, 1, 2] reaches outside {1, 2, 3, 4}, so 1 is only reached through [1, 4]
+    assert list(H.bfs([3], within={1, 2, 3, 4})) == [[3], [2, 4], [1]]
+
+
+def test_edge_index_of_round_trip_randomized():
+    rng = random.Random(101)
+    graphs = [
+        random_hypergraph(rng, rng.randint(4, 12), dyad_p, triad_p, big_edge_p=0.02)
+        for dyad_p, triad_p in [(0.12, 0.04), (0.22, 0.10), (0.35, 0.18)] * 10
+    ]
+    graphs.append(Hypergraph.from_members(synthetic_contact_edges(n_edges=2000)))
+    for H in graphs:
+        for i, e in enumerate(H.edges):
+            members = list(e.members)
+            assert H.edge_index_of(members) == i
+            rng.shuffle(members)
+            assert H.edge_index_of(members) == i
+            assert H.edge_index_of(members + members[:2]) == i
+            if len(members) == 3:
+                for pair in combinations(e.members, 2):
+                    if pair not in H.dyads:
+                        assert H.edge_index_of(pair) is None
+
+
+def test_edge_index_of_misses():
+    H = Hypergraph.from_members([[0, 1, 2], [2, 3]])
+    assert H.edge_index_of([0, 1]) is None  # a dyad inside a triad, not an edge
+    assert H.edge_index_of([2, 4]) is None  # id >= n
+    assert H.edge_index_of([-1, 0]) is None
 
 
 def test_duplicate_edges_rejected_at_construction():
