@@ -30,11 +30,6 @@ print("BFS layers from {3}:", list(H.bfs({3})))           # [[3], [2], [0, 1]]
 print("neighbors of 0:", sorted(H.neighbors(0)))          # [1, 2]
 print("closed nbhd of {3}:", sorted(H.closed_neighborhood({3})))  # [2, 3]
 
-# the induced subhypergraph keeps only hyperedges fully inside the node set
-sub, node_map, edge_map = H.induced_subhypergraph({0, 1, 2})
-print("induced on {0,1,2} keeps", sub.num_edges, "of", H.num_edges, "edges")
-print("back-maps:", node_map, edge_map)
-
 # connectivity is Berge-path reachability: the union of all BFS layers;
 # with `within`, the walk crosses only hyperedges fully inside that set
 print("component of 0:", sorted(H.connected_component({0})))   # [0, 1, 2, 3]

@@ -31,18 +31,14 @@ print("(2,3,4):", classify_triple(H, 2, 3, 4).name)     # I
 print("(4,5,6):", classify_triple(H, 4, 5, 6).name)     # III
 print("(0,1,3):", classify_triple(H, 0, 1, 3))          # None: disconnected
 
-# enumeration is ball-local: every occurrence with >= 1 node in B.
-# scope="exact" also finds wedges whose far endpoint leaves N[B];
-# scope="paper" stays inside the closed neighborhood.
+# enumeration is ball-local: every occurrence with >= 1 node in B, including
+# wedges whose far endpoint lies outside the closed neighborhood N[B]
 B = {2}
-exact = enumerate_motifs(H, B, MotifPattern.I, scope="exact")
-paper = enumerate_motifs(H, B, MotifPattern.I, scope="paper")
-print("\nwedges touching {2}, exact:", [o.nodes for o in exact])
-print("wedges touching {2}, paper:", [o.nodes for o in paper])
+print("\nwedges touching {2}:", [o.nodes for o in enumerate_motifs(H, B, MotifPattern.I)])
 
 # motif degrees count occurrences per node; conductance of a cluster C is
 # cut / min(volume inside, volume outside), all in exact rationals
-M = enumerate_motifs(H, frozenset(range(H.n)), MotifPattern.I, scope="exact")
+M = enumerate_motifs(H, frozenset(range(H.n)), MotifPattern.I)
 print("\nall wedge occurrences:", [o.nodes for o in M])
 print("motif degrees:", motif_degrees(M))
 C = {0, 1, 2, 3}

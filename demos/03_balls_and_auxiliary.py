@@ -12,11 +12,11 @@ from motifclust import (
     bfs_balls,
     build_aux,
     conductance_direct,
-    conductance_via_aux,
     core_ball,
     count_motifs,
     cut_net,
     enumerate_motifs,
+    motif_conductance,
     parse_edge_list,
 )
 import io
@@ -53,11 +53,14 @@ blocks[aux.u] = 1
 cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}
 M_all = enumerate_motifs(H, frozenset(range(H.n)), MotifPattern.VI)
 direct = conductance_direct(M_all, cluster)
-# besides its own motif degrees, the aux route needs only the global motif
-# volume 3|M|, counted without enumerating the occurrences
+# besides the cluster's motif volume, summed from the aux motif degrees, the
+# aux route needs only the global motif volume 3|M|, counted without
+# enumerating the occurrences
 total = 3 * count_motifs(H, MotifPattern.VI)
-via = conductance_via_aux(aux, blocks, total)
-print(f"\ncluster {sorted(cluster)}: aux cut {cut_net(aux, blocks)}, direct cut {direct.motif_cut}")
+cut = cut_net(aux, blocks)
+vol0 = sum(aux.volumes[a] for a in range(aux.u) if blocks[a] == 0)
+via = motif_conductance(cut, vol0, total)
+print(f"\ncluster {sorted(cluster)}: aux cut {cut}, direct cut {direct.motif_cut}")
 # and the conductances agree exactly
-print(f"phi via aux = {via.phi}, phi direct = {direct.phi}")
-assert via.phi == direct.phi == Fraction(direct.motif_cut, direct.volume_used)
+print(f"phi via aux = {via}, phi direct = {direct.phi}")
+assert via == direct.phi == Fraction(direct.motif_cut, direct.volume_used)

@@ -12,7 +12,6 @@ from .balls import Ball, CoreDecomposition, bfs_balls, core_ball, nbr_core_decom
 from .conductance import (
     ConductanceResult,
     conductance_direct,
-    conductance_via_aux,
     motif_conductance,
     motif_cut,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "build_aux",
     "classify_triple",
     "conductance_direct",
-    "conductance_via_aux",
     "core_ball",
     "count_motifs",
     "cut_net",

@@ -2,12 +2,13 @@
 
 ``motif_conductance`` is the one definition the pipeline scores with:
 cut / min(d_mu(C), d_mu(V - C)), where d_mu(V - C) is the global motif volume
-3|M| (from ``motifs.count_motifs``) minus d_mu(C). Two routes reach it: the
-auxiliary hypergraph, whose cut-net equals the motif-cut and whose block-0
-motif volume (half its W degree, ``AuxHypergraph.volumes``) is d_mu(C), and,
-independently, ``conductance_direct`` over a global occurrence collection,
-the oracle the tests compare against. All arithmetic is exact (fractions);
-rendering to decimals happens only in reports.
+3|M| (from ``motifs.count_motifs``) minus d_mu(C). The pipeline feeds it from
+the auxiliary hypergraph, whose cut-net (``cut_net``) equals the motif-cut and
+whose block-0 motif volume (half its W degree, ``AuxHypergraph.volumes``) is
+d_mu(C). ``conductance_direct`` computes the same value independently over a
+global occurrence collection; it is the oracle the tests compare against. All
+arithmetic is exact (fractions); rendering to decimals happens only in
+reports.
 """
 
 from __future__ import annotations
@@ -108,27 +109,3 @@ def conductance_direct(
     if vol_c <= vol_rest:
         return ConductanceResult(Fraction(cut, vol_c), cut, vol_c, "cluster")
     return ConductanceResult(Fraction(cut, vol_rest), cut, vol_rest, "complement")
-
-
-def conductance_via_aux(
-    aux: AuxHypergraph, blocks: Sequence[int], total: int
-) -> ConductanceResult:
-    """Contracted route: aux cut-net over the smaller motif volume side.
-
-    Block 0's motif volume d_mu(C) is summed from ``aux.volumes`` and
-    ``total`` is the global motif volume, three times the pattern's
-    occurrence count. Equals conductance_direct of the mapped-back cluster
-    whenever the enumeration was exact and the split is defined; raises
-    UndefinedConductanceError when either side has zero motif volume.
-    Requires u in block 1.
-    """
-    if blocks[aux.u] != 1:
-        raise ConstraintError("conductance_via_aux requires u in block 1")
-    cut = cut_net(aux, blocks)
-    vol0 = sum(aux.volumes[a] for a in range(aux.u) if blocks[a] == 0)
-    phi = motif_conductance(cut, vol0, total)
-    if phi is None:
-        raise UndefinedConductanceError("a side of the split has zero motif volume")
-    if vol0 <= total - vol0:
-        return ConductanceResult(phi, cut, vol0, "cluster")
-    return ConductanceResult(phi, cut, total - vol0, "complement")

@@ -176,29 +176,7 @@ class Hypergraph:
         """Open neighborhood: every u != v sharing at least one hyperedge with v."""
         return self.closed_neighborhood((v,)) - {v}
 
-    # -- subhypergraphs and connectivity ----------------------------------
-
-    def induced_subhypergraph(
-        self, keep: Iterable[int]
-    ) -> tuple["Hypergraph", tuple[int, ...], tuple[int, ...]]:
-        """Strongly induced subhypergraph: keeps hyperedges fully inside ``keep``.
-
-        Returns (subhypergraph, node_map, edge_map) where node_map[new_id] and
-        edge_map[new_edge_index] give the original ids.
-        """
-        kept = sorted(set(keep))
-        for v in kept:
-            self._check_node(v)
-        new_id = {v: i for i, v in enumerate(kept)}
-        kept_set = set(kept)
-        sub_edges: list[Hyperedge] = []
-        edge_map: list[int] = []
-        for i, e in enumerate(self._edges):
-            if kept_set.issuperset(e.members):
-                sub_edges.append(Hyperedge(tuple(new_id[v] for v in e.members)))
-                edge_map.append(i)
-        sub = Hypergraph(len(kept), sub_edges)
-        return sub, tuple(kept), tuple(edge_map)
+    # -- connectivity ----------------------------------------------------
 
     def connected_component(
         self, start: Iterable[int], within: Iterable[int] | None = None

@@ -149,14 +149,6 @@ def parse_arb_simplices(nverts_path, simplices_path) -> ParseResult:
     return _build_result(raw, dropped, str(nverts_path))
 
 
-def write_edge_list(H: Hypergraph, labels: list, path) -> None:
-    """Debug writer: one line per hyperedge using original labels; parsing it
-    back gives an isomorphic hypergraph."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in H.edges:
-            fh.write(" ".join(str(labels[v]) for v in e.members) + "\n")
-
-
 # -- cluster reports ---------------------------------------------------------
 
 

@@ -95,13 +95,11 @@ def enumerate_motifs(
 ) -> list[MotifOccurrence]:
     """All occurrences of ``pattern`` with at least one node in the ball.
 
-    ``ball`` may be a Ball or any iterable of node ids. ``scope="exact"``
-    (default) finds every such occurrence; ``scope="paper"`` restricts triples
-    to the closed neighborhood N[B], which can miss wedge occurrences (pattern
-    I) whose far endpoint lies outside N[B]. Occurrences containing a triadic
-    hyperedge, or forming a dyadic triangle, always lie inside N[B], so only
-    pattern I differs between the scopes. Each triple is reported exactly once,
-    sorted; the result is sorted by triple.
+    ``ball`` may be a Ball or any iterable of node ids. Every such occurrence
+    is found, wherever its other nodes lie; each triple is reported exactly
+    once, sorted, and the result is sorted by triple. ``scope`` accepts only
+    ``"exact"``: it remains because ``perfbench/run.py`` passes it
+    positionally.
     """
     nodes = getattr(ball, "nodes", ball)
     B = frozenset(nodes)
@@ -110,8 +108,8 @@ def enumerate_motifs(
     for v in B:
         if not 0 <= v < H.n:
             raise InputError(f"ball node {v} out of range")
-    if scope not in ("exact", "paper"):
-        raise InputError(f"scope must be 'exact' or 'paper', got {scope!r}")
+    if scope != "exact":
+        raise InputError(f"scope must be 'exact', got {scope!r}")
     region = H.closed_neighborhood(B)
     dyads = H.dyads
     triads = H.triads
@@ -142,15 +140,13 @@ def enumerate_motifs(
                     out.append(MotifOccurrence(triple, pattern))
     else:
         # pattern I: open wedges; the center is always inside N[B], the two
-        # endpoints may sit one step further out under scope="exact"
+        # endpoints may sit one step further out
         for center in sorted(region):
             nbrs = sorted(H.dyadic_neighbors(center))
             for i, a in enumerate(nbrs):
                 for b in nbrs[i + 1 :]:
                     triple = tuple(sorted((a, center, b)))
                     if B.isdisjoint(triple):
-                        continue
-                    if scope == "paper" and not region.issuperset(triple):
                         continue
                     if (a, b) in dyads or triple in triads:
                         continue

@@ -10,9 +10,7 @@ Scoring is exact: a cluster C scores cut / min(d_mu(C), 3|M| - d_mu(C))
 (``conductance.motif_conductance``). The cut and d_mu(C) come from the
 ball-local occurrence collection, which holds every occurrence touching the
 ball, and |M|, the pattern's occurrence count in the whole hypergraph, comes
-from ``motifs.count_motifs``. Under ``scope="paper"`` with pattern I the cut
-and d_mu(C) come from the N[B]-restricted enumeration instead, while |M|
-stays global and exact.
+from ``motifs.count_motifs``.
 
 The search takes d_mu from the auxiliary hypergraph (half the W degree). The
 winner's d_mu(C) is then counted once more, straight from its occurrences
@@ -55,7 +53,6 @@ class RunConfig:
     min_ball: int = 100
     eps_min: float = 0.03
     eps_max: float = 0.5
-    scope: str = "exact"
     rng_seed: int = 0
     output: str | None = None
     dataset: str | None = None
@@ -76,8 +73,6 @@ class RunConfig:
                 f"eps range must satisfy 0 < eps_min <= eps_max <= 1, "
                 f"got [{self.eps_min}, {self.eps_max}]"
             )
-        if self.scope not in ("exact", "paper"):
-            raise InputError(f"scope must be 'exact' or 'paper', got {self.scope!r}")
 
 
 @dataclass
@@ -162,6 +157,10 @@ def resolve_seed_edges(
         if key is None:
             raise InputError(f"seed node label {lab!r} not found in the dataset")
         ids.append(index[key])
+    if len(set(ids)) < 2:
+        raise InputError(
+            f"seed nodes {labels!r} name fewer than 2 distinct nodes; a hyperedge has at least 2"
+        )
     edge = H.edge_index_of(ids)
     if edge is None:
         raise InputError(f"seed nodes {labels!r} do not form a hyperedge of the dataset")
@@ -224,7 +223,7 @@ def run_local_clustering(
     any_motifs = False
     for order, (ball, ball_seed) in enumerate(zip(balls, ball_seeds)):
         t0 = time.perf_counter()
-        M = enumerate_motifs(H, ball, pattern, config.scope)
+        M = enumerate_motifs(H, ball, pattern)
         times["enumerate"] += time.perf_counter() - t0
         if not M:
             continue
@@ -264,7 +263,6 @@ def run_local_clustering(
         "min_ball": config.min_ball,
         "eps_min": config.eps_min,
         "eps_max": config.eps_max,
-        "scope": config.scope,
         "seed_edge_index": seed_index,
         "seed_nodes": sorted(parsed.labels[v] for v in seed_members),
     }

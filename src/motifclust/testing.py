@@ -209,3 +209,11 @@ def write_arb_dataset(edges, nverts_path, simplices_path) -> None:
         for e in edges:
             for v in e:
                 fh.write(f"{v + 1}\n")
+
+
+def write_edge_list(H: Hypergraph, labels: list, path) -> None:
+    """One line per hyperedge using original labels; parsing it back gives an
+    isomorphic hypergraph."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in H.edges:
+            fh.write(" ".join(str(labels[v]) for v in e.members) + "\n")

@@ -22,16 +22,15 @@ from motifclust import (
     UndefinedConductanceError,
     build_aux,
     conductance_direct,
-    conductance_via_aux,
     cut_net,
     enumerate_motifs,
     fm_refine,
+    motif_conductance,
     motif_cut,
     motif_degrees,
     parse_arb_simplices,
     run_local_clustering,
 )
-from motifclust.io import write_edge_list
 from motifclust.pipeline import arb_paths, expand_bench_config
 from motifclust.testing import (
     brute_best_cluster,
@@ -41,6 +40,7 @@ from motifclust.testing import (
     random_hypergraph,
     synthetic_contact_edges,
     write_arb_dataset,
+    write_edge_list,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,7 +70,7 @@ def test_criterion_1_oracle_motif_equivalence():
         graphs += 1
         everything = frozenset(range(H.n))
         for pattern in MotifPattern:
-            got = enumerate_motifs(H, everything, pattern, scope="exact")
+            got = enumerate_motifs(H, everything, pattern)
             assert got == brute_motifs(H, pattern), (H.edges, pattern)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s (budget 30s)"
@@ -90,7 +90,7 @@ def _contraction_instances():
         seed = H.edge(rng.randrange(H.num_edges)).members
         ball = random_ball_nodes(rng, H, seed)
         pattern = rng.choice(list(MotifPattern))
-        M_ball = enumerate_motifs(H, ball, pattern, scope="exact")
+        M_ball = enumerate_motifs(H, ball, pattern)
         if not M_ball:
             continue
         aux = build_aux(M_ball, ball, seed)
@@ -114,10 +114,11 @@ def test_criterion_2_cut_equivalence():
 
 
 def test_criterion_3_conductance_equivalence():
-    """The aux-route conductance, with the global motif volume, equals the
-    direct definition in exact rational arithmetic on every split where it is
-    defined; where it is not, the direct route is 0/0 or has a motif-free
-    cluster (phi 0 by convention)."""
+    """The aux-route conductance, motif_conductance of the aux cut-net and
+    block-0 motif volume over the global motif volume, equals the direct
+    definition in exact rational arithmetic on every split where it is
+    defined, and so do its cut, volume and side; where it is not, the direct
+    route is 0/0 or has a motif-free cluster (phi 0 by convention)."""
     compared = 0
     for H, _seed, _ball, pattern, _M, aux, blocks in _contraction_instances():
         cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}
@@ -126,20 +127,28 @@ def test_criterion_3_conductance_equivalence():
             direct = conductance_direct(M_global, cluster)
         except UndefinedConductanceError:
             direct = None
-        try:
-            via = conductance_via_aux(aux, blocks, 3 * len(M_global))
-        except UndefinedConductanceError:
+        total = 3 * len(M_global)
+        cut = cut_net(aux, blocks)
+        vol0 = sum(aux.volumes[a] for a in range(aux.u) if blocks[a] == 0)
+        phi = motif_conductance(cut, vol0, total)
+        if phi is None:
             assert direct is None or direct.volume_used == 0
             continue
-        assert via.phi == direct.phi
-        _record(via.phi)
+        side = "cluster" if vol0 <= total - vol0 else "complement"
+        assert (phi, cut, min(vol0, total - vol0), side) == (
+            direct.phi,
+            direct.motif_cut,
+            direct.volume_used,
+            direct.side,
+        )
+        _record(phi)
         compared += 1
     assert compared >= 60, f"only {compared} instances had a defined conductance"
     print(f"\nPASS criterion 3: via-aux == direct conductance on {compared} of 100 instances (exact); the other {100 - compared} have a motif-free side")
 
 
 def test_criterion_4_pipeline_optimality_toy_scale():
-    """run_local_clustering (beta=200, scope=exact) matches the exhaustive
+    """run_local_clustering (beta=200) matches the exhaustive
     best-cluster oracle on >= 95 of 100 random seeded instances."""
     rng = random.Random(4001)
     tmp = tempfile.mkdtemp(prefix="motifclust-c4-")
@@ -175,7 +184,6 @@ def test_criterion_4_pipeline_optimality_toy_scale():
             motif=pattern,
             method="bfs",
             beta=200,
-            scope="exact",
             rng_seed=built,
             dataset=f"i{built}",
         )
@@ -286,16 +294,16 @@ def test_criterion_6_phi_range_and_refine_counters():
 # order (core then bfs, 5 seeds each), recorded with the exact scoring on
 # global motif totals
 SYNTHETIC_C5_DIGESTS = (
-    "97e51be760666f6a8b59d75f95ea730023fb175db5d15b97392579b85610c8df",
-    "f6fda5be9babe3c3549d8cefa785965d4c25a753d6ce151c2ec289a16d991a59",
-    "3eaed496416ba4075355339df90758834a7662ca4d84397aa2cab5d536acf5b8",
-    "a3a5fa1a49ccd0d48e02b69eb04c07ac43ed137bfb69c0757081316fa852953c",
-    "28ac195d740568709dda530bd55b90608df3b19a0a7c1e7fa1ff6c542b5d5b05",
-    "51876cda697d97773bb90b949345c8d19e9d9494e2664b4688331f4468d817ca",
-    "ec83cfbe09eae3d9a8f69d5646be1fa6be40608aeb2a04398064e995a5ad16b8",
-    "a7659268489b981f7f6e6ab480d3960e79ff1ef75e7c1ffde18f7743514605db",
-    "bb911c2f074224c7494d7e4a70d1a236f8cff34c29f77b674dc5f30137505ef0",
-    "e897411453bdb93306e8275451747a4f1240fdbc70b1565df20bbbbdc5d2a7fb",
+    "df2b48e3d986723133d0450d9b5df771b95227ee5478b9a6af8bf749150f40da",
+    "2dac9231e6b1217ed1b4c9bd517e6a84f0a4631d0ac0fd61cffbbe49e3d351ee",
+    "f6cb2d1e1326cfa8d35b68c8f7f6e0f3cf2e745bba6ad5dd102f96683c7818d3",
+    "e6dac2fff68d90883b033a1bc085ed446b62221cff903d9f293d81aa2e07e899",
+    "b5892cfce5b0445bc21b29983172d953fb5a0f46f07af2ddbd21df6405736f99",
+    "b143caacf3f96077b42417bea6f874a22da2a08665d2645fec93674a61981c00",
+    "c05233fd6944cce9da54ad16d422aea2c35dc32b1a7298a2fb2c00d7f26f13b9",
+    "932ec263592475f8b88ce2255cfb38240407235fb551cd96cb4e27ae5a0d630d",
+    "6f72a0adf1c151ff5b1acb3b0a7a0fdaf4827ec4811dd2082084a50ffccd164d",
+    "3cd862d157d787594953afbc6b976ded87f98becabad72cdaabc29e8d6dfa520",
 )
 
 

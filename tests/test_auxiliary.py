@@ -60,21 +60,19 @@ def test_aux_pair_graph_doubles_weights():
 
 def _assert_volumes_are_motif_degrees(H, ball, seed):
     for pattern in MotifPattern:
-        for scope in ("exact", "paper"):
-            M = enumerate_motifs(H, ball, pattern, scope)
-            if not M:
-                continue
-            aux = build_aux(M, ball, seed)
-            dmu = motif_degrees(M)
-            for a in range(aux.u):
-                assert aux.volumes[a] == dmu.get(aux.back_map[a], 0), (pattern, scope, a)
-            assert aux.volumes[aux.u] == 0
+        M = enumerate_motifs(H, ball, pattern)
+        if not M:
+            continue
+        aux = build_aux(M, ball, seed)
+        dmu = motif_degrees(M)
+        for a in range(aux.u):
+            assert aux.volumes[a] == dmu.get(aux.back_map[a], 0), (pattern, a)
+        assert aux.volumes[aux.u] == 0
 
 
 def test_aux_volumes_are_motif_degrees():
-    # d_mu(a) = deg_W(a) / 2 for every ball node, under both scopes, on
-    # criterion 1's random hypergraphs and on the core and BFS balls of a
-    # contact-style instance
+    # d_mu(a) = deg_W(a) / 2 for every ball node, on criterion 1's random
+    # hypergraphs and on the core and BFS balls of a contact-style instance
     rng = random.Random(53)
     densities = cycle([(0.12, 0.04), (0.22, 0.10), (0.35, 0.18)])
     for _ in range(60):

@@ -74,20 +74,27 @@ def test_cluster_command_bad_random_count_exit_2(tmp_path):
     assert "cannot parse random seed count in 'random:x'" in result.output
 
 
-def test_cluster_command_seed_over_block_bound_exit_2(tmp_path):
-    # the whole graph is the 5-node seed, too large for one block of its ball
-    data = tmp_path / "f.txt"
-    data.write_text("a b c d e\na b c\n")
+def run_cli(*args):
+    """The installed entry point in a subprocess, as a user runs it."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "motifclust", "cluster", "--input", str(data),
-         "--motif", "III", "--seed-edge", "index:0", "--output", "-"],
+    return subprocess.run(
+        [sys.executable, "-m", "motifclust", *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
+    )
+
+
+def test_cluster_command_seed_over_block_bound_exit_2(tmp_path):
+    # the whole graph is the 5-node seed, too large for one block of its ball
+    data = tmp_path / "f.txt"
+    data.write_text("a b c d e\na b c\n")
+    result = run_cli(
+        "cluster", "--input", str(data), "--motif", "III", "--seed-edge", "index:0",
+        "--output", "-",
     )
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
@@ -95,6 +102,22 @@ def test_cluster_command_seed_over_block_bound_exit_2(tmp_path):
     # an input error is one line, without click's usage text
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error:")
+
+
+def test_cluster_command_seed_of_one_label_exit_2(tmp_path):
+    # a seed hyperedge needs two distinct nodes; the error names the labels
+    # typed, not the internal node ids
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    for seed in ("nodes:a", "nodes:a,a", "a,a"):
+        result = run_cli(
+            "cluster", "--input", str(data), "--motif", "III", "--seed-edge", seed,
+            "--output", "-",
+        )
+        assert result.returncode == 2, (seed, result.stderr)
+        assert len(result.stderr.splitlines()) == 1, (seed, result.stderr)
+        assert result.stderr.startswith("Error:")
+        assert "'a'" in result.stderr and "(0,)" not in result.stderr
 
 
 def test_cluster_command_no_motifs_exit_3(tmp_path):
@@ -159,3 +182,16 @@ def test_bench_command_bad_config(tmp_path):
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error:")
+
+
+def test_bench_command_rejects_the_removed_scope_field(tmp_path):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    config_path = tmp_path / "bench.json"
+    config_path.write_text(json.dumps({"runs": [
+        {"input": str(data), "motif": "3", "seed_edge": "index:0", "scope": "paper"},
+    ]}))
+    result = CliRunner().invoke(main, ["bench", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:") and "scope" in result.stderr

@@ -9,7 +9,7 @@ from motifclust import (
     UndefinedConductanceError,
     build_aux,
     conductance_direct,
-    conductance_via_aux,
+    cut_net,
     enumerate_motifs,
     motif_conductance,
     motif_cut,
@@ -69,6 +69,16 @@ def test_conductance_direct_symmetry():
         assert a.phi == b.phi
 
 
+def aux_route(aux, blocks, total):
+    """(phi, cut, volume, side) of block 0 as the pipeline scores it: the aux
+    cut-net over the smaller motif volume side; phi is None when a side has
+    no motif volume."""
+    cut = cut_net(aux, blocks)
+    vol0 = sum(aux.volumes[a] for a in range(aux.u) if blocks[a] == 0)
+    side = "cluster" if vol0 <= total - vol0 else "complement"
+    return motif_conductance(cut, vol0, total), cut, min(vol0, total - vol0), side
+
+
 def test_via_aux_uses_the_complement_when_the_ball_outweighs_it():
     # d_mu(B) = 4 > 2 = d_mu(complement): the complement is the denominator
     H, M = two_triad_toy()
@@ -76,27 +86,10 @@ def test_via_aux_uses_the_complement_when_the_ball_outweighs_it():
     M_ball = enumerate_motifs(H, B, MotifPattern.III)
     aux = build_aux(M_ball, B, [0, 1, 2])
     blocks = [0, 0, 0, 1]
-    via = conductance_via_aux(aux, blocks, 3 * len(M))
+    via = aux_route(aux, blocks, 3 * len(M))
     direct = conductance_direct(M, B)
-    assert via.phi == direct.phi == Fraction(1, 2)
-    assert (via.motif_cut, via.volume_used, via.side) == (1, 2, "complement")
-
-
-def test_via_aux_requires_consistent_u_and_positive_volume():
-    # the ball holds the first triad and the motif-free dyad {5, 6}
-    H = Hypergraph.from_members([[0, 1, 2], [2, 3, 4], [5, 6]])
-    B = {0, 1, 2, 5, 6}
-    M_ball = enumerate_motifs(H, B, MotifPattern.III)
-    aux = build_aux(M_ball, B, [0, 1, 2])
-    assert aux.volumes == (1, 1, 2, 0, 0, 0)
-    from motifclust import ConstraintError
-
-    with pytest.raises(ConstraintError):
-        conductance_via_aux(aux, [1, 1, 1, 1, 1, 0], 6)
-    with pytest.raises(UndefinedConductanceError):
-        conductance_via_aux(aux, [1, 1, 1, 0, 0, 1], 6)  # block 0 is motif-free
-    with pytest.raises(UndefinedConductanceError):
-        conductance_via_aux(aux, [0, 0, 0, 0, 0, 1], 4)  # nothing outside the ball
+    assert via == (direct.phi, direct.motif_cut, direct.volume_used, direct.side)
+    assert via == (Fraction(1, 2), 1, 2, "complement")
 
 
 def test_motif_conductance_is_cut_over_the_smaller_side():
@@ -135,12 +128,11 @@ def test_aux_route_equals_direct_route_randomized():
             direct = conductance_direct(M_global, cluster)
         except UndefinedConductanceError:
             direct = None
-        try:
-            via = conductance_via_aux(aux, blocks, 3 * len(M_global))
-        except UndefinedConductanceError:
+        via = aux_route(aux, blocks, 3 * len(M_global))
+        if via[0] is None:
             assert direct is None or direct.volume_used == 0
             continue
-        assert (via.phi, via.motif_cut, via.volume_used, via.side) == (
+        assert via == (
             direct.phi,
             direct.motif_cut,
             direct.volume_used,

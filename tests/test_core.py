@@ -32,22 +32,6 @@ def test_closed_neighborhood():
     assert H2.closed_neighborhood({0}) == {0, 1, 2}
 
 
-def test_induced_subhypergraph_keeps_contained_edges():
-    H = Hypergraph.from_members([[0, 1, 2], [0, 1], [2, 3]])
-    sub, node_map, edge_map = H.induced_subhypergraph({0, 1, 2})
-    members = {tuple(node_map[v] for v in e.members) for e in sub.edges}
-    assert members == {(0, 1, 2), (0, 1)}
-    assert edge_map == (0, 1)
-
-
-def test_induced_subhypergraph_identity_and_partial():
-    H = Hypergraph.from_members([[0, 1, 2]])
-    sub, node_map, _ = H.induced_subhypergraph(range(3))
-    assert sub.num_edges == 1 and node_map == (0, 1, 2)
-    sub2, _, _ = H.induced_subhypergraph({0, 1})
-    assert sub2.num_edges == 0
-
-
 def test_connected_component():
     H = Hypergraph.from_members([[0, 1], [2, 3]])
     assert H.connected_component({0}) == {0, 1}
@@ -120,17 +104,6 @@ def test_handshake_identity_randomized():
     for _ in range(20):
         H = random_hypergraph(rng, rng.randint(4, 10), 0.25, 0.1)
         assert sum(H.degree(v) for v in range(H.n)) == sum(len(e) for e in H.edges)
-
-
-def test_induced_full_set_isomorphic_randomized():
-    rng = random.Random(3)
-    for _ in range(10):
-        H = random_hypergraph(rng, 8, 0.25, 0.1)
-        sub, node_map, edge_map = H.induced_subhypergraph(range(H.n))
-        assert sub.n == H.n and sub.num_edges == H.num_edges
-        for new_idx, old_idx in enumerate(edge_map):
-            mapped = tuple(node_map[v] for v in sub.edge(new_idx).members)
-            assert mapped == H.edge(old_idx).members
 
 
 def test_connected_component_idempotent_randomized():

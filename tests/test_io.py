@@ -4,8 +4,8 @@ import random
 import pytest
 
 from motifclust import ClusterReport, InputError, ParseError, parse_arb_simplices, parse_edge_list, read_report, write_report
-from motifclust.io import write_benchmark_csv, write_edge_list
-from motifclust.testing import random_hypergraph
+from motifclust.io import write_benchmark_csv
+from motifclust.testing import random_hypergraph, write_edge_list
 
 
 def parse_text(text):

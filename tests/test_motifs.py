@@ -12,7 +12,12 @@ from motifclust import (
     enumerate_motifs,
     motif_degrees,
 )
-from motifclust.testing import brute_motifs, random_hypergraph, synthetic_contact_edges
+from motifclust.testing import (
+    brute_motifs,
+    random_ball_nodes,
+    random_hypergraph,
+    synthetic_contact_edges,
+)
 
 
 def test_pattern_table():
@@ -71,26 +76,30 @@ def test_enumerate_requires_nonempty_ball():
         enumerate_motifs(H, set(), MotifPattern.I)
 
 
-def test_paper_scope_misses_far_wedge_endpoint():
+def test_enumerate_accepts_only_the_exact_scope():
     # wedge 0-1-2 with ball {0}: endpoint 2 sits outside N[{0}] = {0, 1}
     H = Hypergraph.from_members([[0, 1], [1, 2]])
-    exact = enumerate_motifs(H, {0}, MotifPattern.I, scope="exact")
-    paper = enumerate_motifs(H, {0}, MotifPattern.I, scope="paper")
-    assert [occ.nodes for occ in exact] == [(0, 1, 2)]
-    assert paper == []
+    assert [occ.nodes for occ in enumerate_motifs(H, {0}, MotifPattern.I)] == [(0, 1, 2)]
+    for pattern in MotifPattern:
+        assert enumerate_motifs(H, {0}, pattern, "exact") == enumerate_motifs(H, {0}, pattern)
+    with pytest.raises(InputError):
+        enumerate_motifs(H, {0}, MotifPattern.I, "paper")
 
 
-def test_scope_soundness_randomized():
+def test_enumerate_on_a_ball_matches_brute_force_randomized():
+    # criterion 1's random hypergraphs: a ball's occurrences are exactly the
+    # brute-force occurrences with a node in the ball, in the same order,
+    # wherever their other nodes lie. The seed hyperedge alone is the smallest
+    # ball; its closed neighborhood often misses a wedge's far endpoint.
     rng = random.Random(31)
-    for _ in range(30):
-        H = random_hypergraph(rng, rng.randint(4, 10), 0.25, 0.1)
-        ball = {rng.randrange(H.n)}
-        for pattern in MotifPattern:
-            exact = set(enumerate_motifs(H, ball, pattern, scope="exact"))
-            paper = set(enumerate_motifs(H, ball, pattern, scope="paper"))
-            assert paper <= exact
-            inside = {o for o in exact if set(o.nodes) <= ball}
-            assert inside <= paper
+    densities = cycle([(0.12, 0.04), (0.22, 0.10), (0.35, 0.18)])
+    for _ in range(60):
+        H = random_hypergraph(rng, rng.randint(4, 12), *next(densities), big_edge_p=0.02)
+        seed = H.edge(rng.randrange(H.num_edges)).members
+        for ball in (frozenset(seed), random_ball_nodes(rng, H, seed)):
+            for pattern in MotifPattern:
+                expected = [o for o in brute_motifs(H, pattern) if not ball.isdisjoint(o.nodes)]
+                assert enumerate_motifs(H, ball, pattern) == expected, (H.edges, ball, pattern)
 
 
 def test_enumerate_matches_brute_force_all_patterns():
@@ -99,7 +108,7 @@ def test_enumerate_matches_brute_force_all_patterns():
         H = random_hypergraph(rng, rng.randint(4, 11), 0.25, 0.1, big_edge_p=0.02)
         everything = frozenset(range(H.n))
         for pattern in MotifPattern:
-            got = enumerate_motifs(H, everything, pattern, scope="exact")
+            got = enumerate_motifs(H, everything, pattern)
             assert got == brute_motifs(H, pattern)
             assert len(got) == len({occ.nodes for occ in got})  # no duplicates
 
