@@ -1,10 +1,12 @@
 """Immutable hypergraph with an incidence index and one layered BFS.
 
 Nodes are dense integers 0..n-1. Hyperedges are canonical strictly-increasing
-member tuples with at least two distinct members; no two hyperedges share the
-same member set (ingestion merges duplicates before construction). Everything
-downstream (ball selection, motif enumeration, partitioning) reads this object
-without mutating it. ``Hypergraph.bfs`` is the one traversal: connected
+member tuples with at least two distinct members, which ``Hyperedge`` checks
+once, when it is built; ``Hypergraph`` checks only what one hyperedge cannot
+show: every id is below n and no two hyperedges share a member set (ingestion
+merges duplicates before construction). Everything downstream (ball
+selection, motif enumeration, partitioning) reads this object without
+mutating it. ``Hypergraph.bfs`` is the one traversal: connected
 components, closed neighborhoods and the BFS balls of phase one all read its
 layers.
 """
@@ -12,6 +14,7 @@ layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -27,16 +30,19 @@ def canonical_members(members: Iterable[int]) -> Members:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperedge:
-    """A hyperedge: a strictly increasing member tuple."""
+    """A hyperedge: a strictly increasing tuple of >= 2 non-negative node ids,
+    checked here once."""
 
     members: Members
 
     def __post_init__(self) -> None:
         mem = self.members
-        if len(mem) < 2 or any(mem[i] >= mem[i + 1] for i in range(len(mem) - 1)):
-            raise InputError(f"members must be >= 2 strictly increasing node ids, got {mem!r}")
+        if not isinstance(mem, tuple) or len(mem) < 2 or not all(map(lt, mem, mem[1:])):
+            raise InputError(
+                f"members must be a tuple of >= 2 strictly increasing node ids, got {mem!r}"
+            )
         if mem[0] < 0:
             raise InputError(f"negative node id in hyperedge {mem!r}")
 
@@ -62,21 +68,23 @@ class Hypergraph:
         if n < 0:
             raise InputError(f"node count must be >= 0, got {n}")
         self._n = n
-        norm: list[Hyperedge] = []
-        seen: set[Members] = set()
+        self._edges: tuple[Hyperedge, ...] = tuple(
+            e if isinstance(e, Hyperedge) else Hyperedge.of(e) for e in edges
+        )
+        members = [e.members for e in self._edges]
+        if max(map(itemgetter(-1), members), default=-1) >= n:
+            bad = next(mem for mem in members if mem[-1] >= n)
+            raise InputError(f"hyperedge {bad!r} references node >= n={n}")
+        if len(set(members)) < len(members):
+            seen: set[Members] = set()
+            for mem in members:
+                if mem in seen:
+                    raise InputError(f"duplicate hyperedge {mem!r}; merge before construction")
+                seen.add(mem)
         incidence: list[list[int]] = [[] for _ in range(n)]
-        for e in edges:
-            he = e if isinstance(e, Hyperedge) else Hyperedge.of(e)
-            if he.members[-1] >= n:
-                raise InputError(f"hyperedge {he.members!r} references node >= n={n}")
-            if he.members in seen:
-                raise InputError(f"duplicate hyperedge {he.members!r}; merge before construction")
-            seen.add(he.members)
-            idx = len(norm)
-            norm.append(he)
-            for v in he.members:
+        for idx, mem in enumerate(members):
+            for v in mem:
                 incidence[v].append(idx)
-        self._edges: tuple[Hyperedge, ...] = tuple(norm)
         self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
         self._small_index: tuple[frozenset, frozenset, dict] | None = None
 
@@ -85,10 +93,10 @@ class Hypergraph:
         cls, member_lists: Iterable[Iterable[int]], n: int | None = None
     ) -> "Hypergraph":
         """Build from raw member lists; infers n = max id + 1 unless given."""
-        canon = [canonical_members(m) for m in member_lists]
+        edges = [Hyperedge.of(m) for m in member_lists]
         if n is None:
-            n = max((m[-1] for m in canon), default=-1) + 1
-        return cls(n, [Hyperedge(m) for m in canon])
+            n = max((e.members[-1] for e in edges), default=-1) + 1
+        return cls(n, edges)
 
     # -- basic accessors -------------------------------------------------
 

@@ -3,10 +3,13 @@ structured result output.
 
 Cleaning rules, applied identically by both parsers: repeated labels inside a
 hyperedge are deduplicated, hyperedges with fewer than two distinct nodes are
-dropped (counted), and duplicate hyperedges merge into one (counted). Labels
-are mapped to dense ids in order of first appearance; the label list maps them
-back. Reports serialize as canonical sorted-key JSON so golden files are
-byte-stable.
+dropped (counted), and duplicate hyperedges merge into one (counted). A
+negative ARB size is a ParseError. Labels are mapped to dense ids in order of
+first appearance; the label list maps them back. Each file is read and
+tokenised in one pass (a bad token re-reads it line by line, only to name the
+line); ``_build_result`` canonicalises each hyperedge once, ``Hyperedge``
+validates it once, and ``Hypergraph`` checks node bounds and uniqueness.
+Reports serialize as canonical sorted-key JSON so golden files are byte-stable.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, compress, pairwise
 
 from .core import Hypergraph, Hyperedge
 from .errors import InputError, ParseError
 
 log = logging.getLogger(__name__)
-
-_SPLIT = re.compile(r"[,\s]+")
 
 
 @dataclass
@@ -37,36 +38,33 @@ class ParseResult:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
-def _build_result(
-    raw_edges: list[tuple], dropped: int, source: str
-) -> ParseResult:
-    """raw_edges: list of label tuples (already deduplicated within the edge)."""
-    labels: list = []
-    index: dict = {}
-    keys: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-    merged = 0
-    for members in raw_edges:
-        ids = []
-        for lab in members:
-            i = index.get(lab)
-            if i is None:
-                i = len(labels)
-                index[lab] = i
-                labels.append(lab)
-            ids.append(i)
-        key = tuple(sorted(ids))
-        if key in keys:
-            merged += 1
-        else:
-            keys[key] = None
-    if not keys:
+def _build_result(chunks: list, source: str) -> ParseResult:
+    """Clean raw label chunks, one per hyperedge, into a ParseResult.
+
+    Ids follow the first appearance of a label in a kept chunk, so a label
+    that occurs only in dropped hyperedges gets none. Each kept chunk is
+    canonicalised here once; ``Hyperedge`` validates it once.
+    """
+    kept = [len(set(chunk)) > 1 for chunk in chunks]
+    labels = list(dict.fromkeys(chain.from_iterable(compress(chunks, kept))))
+    to_id = dict(zip(labels, range(len(labels)))).__getitem__
+    keys = [tuple(sorted(set(map(to_id, chunk)))) for chunk in compress(chunks, kept)]
+    unique = dict.fromkeys(keys)
+    if not unique:
         raise InputError(f"no usable hyperedges in {source} after cleaning")
-    edges = [Hyperedge(key) for key in keys]
+    dropped = len(chunks) - len(keys)
+    merged = len(keys) - len(unique)
     if dropped:
         log.warning("%s: dropped %d hyperedges with < 2 distinct nodes", source, dropped)
     if merged:
         log.warning("%s: merged %d duplicate hyperedges", source, merged)
-    return ParseResult(Hypergraph(len(labels), edges), labels, dropped, merged)
+    hypergraph = Hypergraph(len(labels), list(map(Hyperedge, unique)))
+    return ParseResult(hypergraph, labels, dropped, merged)
+
+
+def _tokens(text: str) -> list[str]:
+    """Split on runs of whitespace and commas; empty tokens never occur."""
+    return text.replace(",", " ").split()
 
 
 def parse_edge_list(source) -> ParseResult:
@@ -84,69 +82,58 @@ def parse_edge_list(source) -> ParseResult:
             raise ParseError(f"not valid UTF-8: {exc}", path=name) from exc
         except OSError as exc:
             raise ParseError(f"cannot read: {exc}", path=name) from exc
-    raw: list[tuple] = []
-    dropped = 0
-    for line in lines:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        tokens = [t for t in _SPLIT.split(text) if t]
-        members = tuple(dict.fromkeys(tokens))  # dedupe, keep order
-        if len(members) < 2:
-            dropped += 1
-            continue
-        raw.append(members)
-    return _build_result(raw, dropped, name)
+    texts = [line.strip() for line in lines]
+    return _build_result([_tokens(t) for t in texts if t and t[0] != "#"], name)
 
 
-def _read_int_lines(path: str) -> list[int]:
-    out: list[int] = []
+def _read_ints(path: str, sizes: bool = False) -> tuple[int, ...]:
+    """Every integer token of a file, read and tokenised in one pass.
+
+    With ``sizes`` a negative value is an error too. Any error re-reads the
+    file line by line to name the first bad token and its line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = tuple(map(int, _tokens(fh.read())))
+        if not sizes or min(values, default=0) >= 0:
+            return values
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc}", path=path) from exc
+    except ValueError:  # a token that is no integer, or bytes that are no UTF-8
+        pass
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                for token in _SPLIT.split(text):
-                    if not token:
-                        continue
+                for token in _tokens(line):
                     try:
-                        out.append(int(token))
+                        value = int(token)
                     except ValueError:
-                        raise ParseError(
-                            f"expected an integer, got {token!r}", path=path, line=lineno
-                        ) from None
+                        message = f"expected an integer, got {token!r}"
+                    else:
+                        if not sizes or value >= 0:
+                            continue
+                        message = f"negative hyperedge size {value}"
+                    raise ParseError(message, path=path, line=lineno)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read: {exc}", path=str(path)) from exc
-    return out
+    raise ParseError("changed while being read", path=path)
 
 
 def parse_arb_simplices(nverts_path, simplices_path) -> ParseResult:
     """ARB-style pair of files: hyperedge sizes, plus a flat node-id list
     consumed in size-sized chunks. Timestamps files are ignored entirely."""
-    nverts = _read_int_lines(str(nverts_path))
-    flat = _read_int_lines(str(simplices_path))
-    expected = sum(nverts)
+    sizes = _read_ints(str(nverts_path), sizes=True)
+    flat = _read_ints(str(simplices_path))
+    expected = sum(sizes)
     if expected != len(flat):
         raise ParseError(
             f"simplices length mismatch: nverts sums to {expected}, "
             f"found {len(flat)} node entries",
             path=str(simplices_path),
         )
-    raw: list[tuple] = []
-    dropped = 0
-    pos = 0
-    for size in nverts:
-        chunk = flat[pos : pos + size]
-        pos += size
-        members = tuple(dict.fromkeys(chunk))
-        if len(members) < 2:
-            dropped += 1
-            continue
-        raw.append(members)
-    return _build_result(raw, dropped, str(nverts_path))
+    chunks = [flat[i:j] for i, j in pairwise(accumulate(sizes, initial=0))]
+    del flat  # not needed while the hypergraph is built; freeing it lowers the peak heap
+    return _build_result(chunks, str(nverts_path))
 
 
 # -- cluster reports ---------------------------------------------------------

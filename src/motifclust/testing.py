@@ -7,13 +7,15 @@ explicit size budget and refuses anything beyond toy scale.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .conductance import conductance_direct
-from .core import Hypergraph
-from .errors import BudgetExceededError, InputError, UndefinedConductanceError
+from .core import Hyperedge, Hypergraph
+from .errors import BudgetExceededError, InputError, ParseError, UndefinedConductanceError
+from .io import ParseResult
 from .motifs import MotifOccurrence, MotifPattern, classify_triple
 
 
@@ -105,6 +107,118 @@ def brute_nbr_core_numbers(H: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET)
             if worst > core[v]:
                 core[v] = worst
     return core
+
+
+# -- reference parsers: the line-by-line ingest that io's one-pass parsers replace
+
+
+_SPLIT = re.compile(r"[,\s]+")
+
+
+def _reference_result(raw_edges: list[tuple], dropped: int, source: str) -> ParseResult:
+    """raw_edges: label tuples, already deduplicated within each edge."""
+    labels: list = []
+    index: dict = {}
+    keys: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+    merged = 0
+    for members in raw_edges:
+        ids = []
+        for lab in members:
+            i = index.get(lab)
+            if i is None:
+                i = len(labels)
+                index[lab] = i
+                labels.append(lab)
+            ids.append(i)
+        key = tuple(sorted(ids))
+        if key in keys:
+            merged += 1
+        else:
+            keys[key] = None
+    if not keys:
+        raise InputError(f"no usable hyperedges in {source} after cleaning")
+    edges = [Hyperedge(key) for key in keys]
+    return ParseResult(Hypergraph(len(labels), edges), labels, dropped, merged)
+
+
+def reference_parse_edge_list(source) -> ParseResult:
+    """What ``io.parse_edge_list`` returns or raises, one line at a time."""
+    if hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
+        lines = source.read().splitlines()
+    else:
+        name = str(source)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}", path=name) from exc
+        except OSError as exc:
+            raise ParseError(f"cannot read: {exc}", path=name) from exc
+    raw: list[tuple] = []
+    dropped = 0
+    for line in lines:
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        tokens = [t for t in _SPLIT.split(text) if t]
+        members = tuple(dict.fromkeys(tokens))  # dedupe, keep order
+        if len(members) < 2:
+            dropped += 1
+            continue
+        raw.append(members)
+    return _reference_result(raw, dropped, name)
+
+
+def _reference_read_ints(path: str) -> list[int]:
+    out: list[int] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                for token in _SPLIT.split(text):
+                    if not token:
+                        continue
+                    try:
+                        out.append(int(token))
+                    except ValueError:
+                        raise ParseError(
+                            f"expected an integer, got {token!r}", path=path, line=lineno
+                        ) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc}", path=str(path)) from exc
+    return out
+
+
+def reference_parse_arb_simplices(nverts_path, simplices_path) -> ParseResult:
+    """What ``io.parse_arb_simplices`` returns or raises, one line at a time.
+    Unlike io, it does not reject a negative size: it moves the chunk start
+    back instead."""
+    nverts = _reference_read_ints(str(nverts_path))
+    flat = _reference_read_ints(str(simplices_path))
+    expected = sum(nverts)
+    if expected != len(flat):
+        raise ParseError(
+            f"simplices length mismatch: nverts sums to {expected}, "
+            f"found {len(flat)} node entries",
+            path=str(simplices_path),
+        )
+    raw: list[tuple] = []
+    dropped = 0
+    pos = 0
+    for size in nverts:
+        chunk = flat[pos : pos + size]
+        pos += size
+        members = tuple(dict.fromkeys(chunk))
+        if len(members) < 2:
+            dropped += 1
+            continue
+        raw.append(members)
+    return _reference_result(raw, dropped, str(nverts_path))
 
 
 # -- instance generators -------------------------------------------------

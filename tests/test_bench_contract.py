@@ -24,8 +24,12 @@ def test_direct_calls_of_the_benchmark(tmp_path):
     nverts, simplices = files
 
     parsed = parse_arb_simplices(nverts, simplices)
+    n = parsed.hypergraph.n
     H = parsed.hypergraph
+    label_index = parsed.label_index()
     assert H.num_edges == len(edges)
+    assert n == H.n == len(parsed.labels) == len(label_index)
+    assert all(label_index[parsed.labels[i]] == i for i in range(n))
     for pattern in MotifPattern:
         M_global = enumerate_motifs(H, range(H.n), pattern, "exact")
         assert M_global == enumerate_motifs(H, range(H.n), pattern)

@@ -90,6 +90,22 @@ def test_hyperedge_canonical_form():
         Hyperedge.of([3])
 
 
+@pytest.mark.parametrize("members", [(1, 0), (0,), (0, 0), (-1, 2), [0, 1]])
+def test_hyperedge_rejects_non_canonical_members(members):
+    with pytest.raises(InputError):
+        Hyperedge(members)
+
+
+def test_hypergraph_rejects_an_out_of_range_node():
+    with pytest.raises(InputError, match="references node >= n=2"):
+        Hypergraph(2, [[0, 2]])
+
+
+def test_hypergraph_rejects_a_repeated_hyperedge_object():
+    with pytest.raises(InputError, match="duplicate hyperedge"):
+        Hypergraph(3, [Hyperedge((0, 1)), Hyperedge((0, 1))])
+
+
 def test_neighbor_symmetry_randomized():
     rng = random.Random(42)
     for _ in range(20):

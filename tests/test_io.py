@@ -5,7 +5,12 @@ import pytest
 
 from motifclust import ClusterReport, InputError, ParseError, parse_arb_simplices, parse_edge_list, read_report, write_report
 from motifclust.io import write_benchmark_csv
-from motifclust.testing import random_hypergraph, write_edge_list
+from motifclust.testing import (
+    random_hypergraph,
+    reference_parse_arb_simplices,
+    reference_parse_edge_list,
+    write_edge_list,
+)
 
 
 def parse_text(text):
@@ -97,6 +102,136 @@ def test_parse_arb_empty(tmp_path):
     simplices.write_text("")
     with pytest.raises(InputError):
         parse_arb_simplices(nverts, simplices)
+
+
+def _arb_files(tmp_path, nverts_text, simplices_text):
+    nverts = tmp_path / "d-nverts.txt"
+    simplices = tmp_path / "d-simplices.txt"
+    nverts.write_text(nverts_text)
+    simplices.write_text(simplices_text)
+    return nverts, simplices
+
+
+def test_parse_arb_rejects_a_negative_size(tmp_path):
+    # the sizes sum to 4 = the entry count, and the -2 chunk would move the
+    # chunk start back, making a phantom hyperedge {3, 4}
+    nverts, simplices = _arb_files(tmp_path, "4\n-2\n2\n", "1 2 3 4")
+    with pytest.raises(ParseError) as err:
+        parse_arb_simplices(nverts, simplices)
+    assert str(err.value) == f"negative hyperedge size -2 [{nverts}:2]"
+
+
+def test_parse_arb_drops_a_size_zero_hyperedge(tmp_path):
+    result = parse_arb_simplices(*_arb_files(tmp_path, "0\n2\n", "1 2"))
+    assert result.dropped_small == 1 and result.hypergraph.num_edges == 1
+
+
+@pytest.mark.parametrize("bad_file", ["nverts", "simplices"])
+def test_parse_arb_names_the_bad_token_and_its_line(tmp_path, bad_file):
+    good = {"nverts": "2,2\n\n2\n", "simplices": "1,2\n\n3,4 5,6\n"}
+    bad = {"nverts": "2,2\n\n2,x\n", "simplices": "1,2\n\n3,x 5,6\n"}
+    texts = {**good, bad_file: bad[bad_file]}
+    nverts, simplices = _arb_files(tmp_path, texts["nverts"], texts["simplices"])
+    path = {"nverts": nverts, "simplices": simplices}[bad_file]
+    with pytest.raises(ParseError) as err:
+        parse_arb_simplices(nverts, simplices)
+    assert str(err.value) == f"expected an integer, got 'x' [{path}:3]"
+
+
+def test_parse_arb_reports_bad_utf8_as_the_reference_does(tmp_path):
+    # the byte sits past the first 8 KiB, where a whole-file decode and a
+    # line-by-line decode report different positions
+    nverts, simplices = _arb_files(tmp_path, "", "1 2\n" * 6002)
+    for data in (b"2\n" * 6000 + b"\xff\n2\n", b"2\nx\n" + b"2\n" * 6000 + b"\xff"):
+        nverts.write_bytes(data)
+        assert _outcome(parse_arb_simplices, nverts, simplices) == _outcome(
+            reference_parse_arb_simplices, nverts, simplices
+        )
+
+
+# separators the reference splits on: whitespace (ASCII and not), commas,
+# and line ends of each style
+_SEPARATORS = [" ", "  ", "\t", ",", ", ", " ,\t", "\n", "\r\n", "\r", "\n\n", "\u00a0", "\u2003", "\x0c", "\x1c"]
+
+
+def _random_arb_texts(rng):
+    sizes = [rng.randint(0, 5) for _ in range(rng.randint(0, 12))]
+    pool = [rng.randint(-4, 9) for _ in range(rng.randint(1, 8))]
+    entries = [str(rng.choice(pool)) for _ in range(sum(sizes))]
+    size_tokens = [str(k) for k in sizes]
+    if rng.random() < 0.1:  # off-by-one entry count
+        entries = entries[:-1] if entries and rng.random() < 0.5 else entries + ["1"]
+    for tokens in (size_tokens, entries):
+        if tokens and rng.random() < 0.1:  # a token the reference rejects or reads
+            tokens[rng.randrange(len(tokens))] = rng.choice(["x", "1.5", "", "+2", "0_1", "-1"])
+
+    def join(tokens):
+        text = "".join(t + rng.choice(_SEPARATORS) for t in tokens)
+        return rng.choice(["", "\n", ", "]) + text
+
+    return join(size_tokens), join(entries)
+
+
+def _random_edge_list_text(rng):
+    pool = [rng.choice("abcdefgh") + rng.choice(["", "1", "-", "é"]) for _ in range(6)]
+    pool += [str(rng.randint(-3, 3)) for _ in range(2)]
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(["", "   ", ",", " \t"]))
+        elif kind < 0.2:
+            lines.append(rng.choice(["#", "  # a b", "#a,b", ",# a b"]))  # the last is no comment
+        else:
+            members = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            seps = [rng.choice([" ", ",", "\t", " , ", "\u00a0", "\x0b"]) for _ in members]
+            lines.append(rng.choice(["", " ", ","]) + "".join(m + s for m, s in zip(members, seps)))
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+
+
+def _outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc), str(exc))
+    H = result.hypergraph
+    return (
+        result.labels,
+        [e.members for e in H.edges],
+        H._incidence,
+        H.n,
+        result.dropped_small,
+        result.merged_duplicates,
+    )
+
+
+def test_parsers_match_the_line_by_line_reference_randomized(tmp_path):
+    rng = random.Random(2026)
+    nverts, simplices = tmp_path / "r-nverts.txt", tmp_path / "r-simplices.txt"
+    edge_list = tmp_path / "r.txt"
+    compared = {"arb": 0, "edge list": 0, "errors": 0, "drops": 0, "merges": 0}
+    while compared["arb"] < 300:
+        nverts_text, simplices_text = _random_arb_texts(rng)
+        if any(t.startswith("-") for t in nverts_text.replace(",", " ").split()):
+            continue  # a negative size, which only the parser rejects
+        nverts.write_text(nverts_text, encoding="utf-8", newline="")
+        simplices.write_text(simplices_text, encoding="utf-8", newline="")
+        expected = _outcome(reference_parse_arb_simplices, nverts, simplices)
+        assert _outcome(parse_arb_simplices, nverts, simplices) == expected
+        compared["arb"] += 1
+        compared["errors"] += expected[0] == "error"
+        compared["drops"] += expected[0] != "error" and expected[4] > 0
+        compared["merges"] += expected[0] != "error" and expected[5] > 0
+    while compared["edge list"] < 300:
+        edge_list.write_text(_random_edge_list_text(rng), encoding="utf-8", newline="")
+        expected = _outcome(reference_parse_edge_list, edge_list)
+        assert _outcome(parse_edge_list, edge_list) == expected
+        compared["edge list"] += 1
+        compared["errors"] += expected[0] == "error"
+        compared["drops"] += expected[0] != "error" and expected[4] > 0
+        compared["merges"] += expected[0] != "error" and expected[5] > 0
+    # the draw reaches every branch: errors, drops and merges alike
+    assert min(compared.values()) >= 30, compared
 
 
 def test_report_round_trip(tmp_path):
