@@ -1,8 +1,9 @@
 """Walkthrough: ball selection and the contracted auxiliary hypergraph.
 
 Phase one picks a seed-containing node set B two ways; phase three turns the
-occurrence collection into a small weighted hypergraph whose cut-net equals
-the motif-cut, so an ordinary partitioner can optimize a motif objective.
+occurrence collection into a small weighted graph W whose halved cut equals
+the motif-cut, so an ordinary graph partitioner can optimize a motif
+objective.
 """
 
 from fractions import Fraction
@@ -37,17 +38,17 @@ for ball in bfs_balls(H, seed, alpha=3, min_size=4):
 B = core_ball(H, seed, min_size=3)
 print(f"core ball at k={B.detail}: {sorted(B.nodes)}")  # pocket A only
 
-# contract everything outside the ball into one node u; occurrences become
-# weighted hyperedges (parallel crossing ones merge)
+# contract everything outside the ball into one node u; each occurrence adds
+# its weight straight to the pairs of the doubled pair graph W
 M = enumerate_motifs(H, B, MotifPattern.VI)
 aux = build_aux(M, B, seed)
 print("\noccurrences touching the ball:", [o.nodes for o in M])
-print("aux hyperedges (members, weight):", aux.edges, "u =", aux.u)
+print("W pairs (a, b, weight):", aux.pairs, "u =", aux.u)
 # each ball node's motif degree is half its degree in the doubled pair graph W
 print("motif degrees of the aux nodes (u last, always 0):", aux.volumes)
 
-# the contraction preserves cuts: the aux cut-net of a split equals the motif-cut of
-# the mapped-back cluster
+# the contraction preserves cuts: half the W cut of a split equals the
+# motif-cut of the mapped-back cluster
 blocks = [0] * aux.num_nodes
 blocks[aux.u] = 1
 cluster = {aux.back_map[a] for a in range(aux.u) if blocks[a] == 0}

@@ -75,10 +75,11 @@ def cluster(
     if report.status != "ok":
         click.echo(f"status: {report.status}", err=True)
         sys.exit(3)
-    click.echo(
+    click.echo(  # stdout holds the report alone when it goes there
         f"{report.dataset} [{report.method}/{report.motif}] "
         f"phi={report.phi} |C|={report.cluster_size} |B|={report.ball_size} "
-        f"t={report.timings['total']:.2f}s"
+        f"t={report.timings['total']:.2f}s",
+        err=output == "-",
     )
 
 
@@ -93,26 +94,30 @@ def bench(config_path) -> None:
         raise InputFailure(f"cannot read bench config: {exc}") from exc
     base = os.path.dirname(os.path.abspath(config_path))
 
-    def _resolve(path):
+    def _resolve(where: dict, key: str):
+        path = where.get(key)
+        if not isinstance(path, str) and (path is not None or key == "input"):
+            raise InputFailure(f"bench config '{key}' must be a path string, got {path!r}")
         return path if path is None or os.path.isabs(path) else os.path.join(base, path)
 
     runs = spec.get("runs") if isinstance(spec, dict) else None
     if not isinstance(runs, list) or not runs:
         raise InputFailure("bench config has no 'runs' entries")
+    output_dir = _resolve(spec, "output_dir")
+    csv_path = _resolve(spec, "csv")
     configs = []
     for entry in runs:
         if not isinstance(entry, dict) or not {"input", "motif", "seed_edge"} <= entry.keys():
             raise InputFailure(f"each run needs input, motif and seed_edge: {entry!r}")
-        entry = dict(entry, input=_resolve(entry["input"]))
+        entry = dict(entry, input=_resolve(entry, "input"))
         try:
             configs.append(RunConfig(**entry))
         except TypeError as exc:
             raise InputFailure(f"bad run entry {entry!r}: {exc}") from exc
     try:
-        result = run_benchmark(configs, output_dir=_resolve(spec.get("output_dir")))
+        result = run_benchmark(configs, output_dir=output_dir)
     except InputError as exc:
         raise InputFailure(str(exc)) from exc
-    csv_path = _resolve(spec.get("csv"))
     if csv_path:
         mio.write_benchmark_csv(result.rows, csv_path)
         click.echo(f"wrote {csv_path}")

@@ -3,10 +3,11 @@
 ``motif_conductance`` is the one definition the pipeline scores with:
 cut / min(d_mu(C), d_mu(V - C)), where d_mu(V - C) is the global motif volume
 3|M| (from ``motifs.count_motifs``) minus d_mu(C). The pipeline feeds it from
-the auxiliary hypergraph, whose cut-net (``cut_net``) equals the motif-cut and
-whose block-0 motif volume (half its W degree, ``AuxHypergraph.volumes``) is
-d_mu(C). ``conductance_direct`` computes the same value independently over a
-global occurrence collection; it is the oracle the tests compare against. All
+the auxiliary hypergraph, held as its doubled pair graph W: its cut-net
+(``cut_net``, half the W cut) equals the motif-cut, and its block-0 motif
+volume (half the W degree, ``AuxHypergraph.volumes``) is d_mu(C).
+``conductance_direct`` computes the same value independently over a global
+occurrence collection; it is the oracle the tests compare against. All
 arithmetic is exact (fractions); rendering to decimals happens only in
 reports.
 """
@@ -50,7 +51,7 @@ def _check_blocks(aux: AuxHypergraph, blocks: Sequence[int]) -> None:
 
 
 def cut_net(aux: AuxHypergraph, blocks: Sequence[int]) -> int:
-    """Total weight of aux hyperedges with members in both blocks: cut_W / 2."""
+    """Cut-net of a 2-way split: half the weight of W's pairs across it."""
     _check_blocks(aux, blocks)
     return sum(w for a, b, w in aux.pairs if blocks[a] != blocks[b]) // 2
 

@@ -1,7 +1,7 @@
 """Phase four: 2-way cut-net partitioning of the auxiliary hypergraph.
 
-Every aux hyperedge has at most 3 pins, so its cut-net is half the cut of the
-doubled pair graph W the hypergraph carries (see ``auxiliary``). Refinement is
+The auxiliary hypergraph is held as its doubled pair graph W, whose cut is
+twice the cut-net (see ``auxiliary``). Refinement is
 Fiduccia-Mattheyses on W, with one lazy max-gain heap per block, restarted
 under randomized imbalance. Block 0 is the cluster side (holds the seed
 nodes); block 1 holds the contracted node u. The contracted node never moves;

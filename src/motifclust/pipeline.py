@@ -358,6 +358,7 @@ def run_benchmark(
             {"graph": graph, "method": config.method, "phi": "", "cluster_size": "", "time_s": ""}
         )
 
+    written: set[str] = set()
     for config in configs:
         try:
             expanded = expand_bench_config(config)
@@ -370,14 +371,19 @@ def run_benchmark(
             except Exception as exc:  # noqa: BLE001
                 fail(single, exc)
                 continue
-            reports.append(report)
             if output_dir:
-                os.makedirs(output_dir, exist_ok=True)
-                name = (
-                    f"{report.dataset}__{report.method}"
-                    f"__seed{report.params['seed_edge_index']}.json"
+                path = os.path.join(
+                    output_dir,
+                    f"{report.dataset}__{report.method}__{report.motif}"
+                    f"__seed{report.params['seed_edge_index']}.json",
                 )
-                mio.write_report(report, os.path.join(output_dir, name))
+                if path in written:
+                    fail(single, InputError(f"report {path} was already written in this bench run"))
+                    continue
+                written.add(path)
+                os.makedirs(output_dir, exist_ok=True)
+                mio.write_report(report, path)
+            reports.append(report)
             ok = report.status == "ok"
             rows.append(
                 {

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .auxiliary import AuxHypergraph
 from .conductance import conductance_direct
 from .core import Hyperedge, Hypergraph
-from .errors import BudgetExceededError, InputError, ParseError, UndefinedConductanceError
+from .errors import (
+    BudgetExceededError,
+    ConstraintError,
+    InputError,
+    ParseError,
+    UndefinedConductanceError,
+)
 from .io import ParseResult
 from .motifs import MotifOccurrence, MotifPattern, classify_triple
 
@@ -107,6 +114,53 @@ def brute_nbr_core_numbers(H: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET)
             if worst > core[v]:
                 core[v] = worst
     return core
+
+
+# -- reference auxiliary construction: the hyperedge merge that build_aux replaces
+
+
+def reference_aux_hyperedges(M, ball) -> dict[tuple[int, ...], int]:
+    """The auxiliary hyperedges of ``M`` over ``ball``, sorted, with weights.
+
+    Ball nodes get aux ids in sorted order and u = |ball|. An occurrence maps
+    to its inside ids, plus u when it reaches outside the ball, and parallel
+    hyperedges merge with their multiplicity as weight.
+    """
+    aux_of = {v: i for i, v in enumerate(sorted(getattr(ball, "nodes", ball)))}
+    u = len(aux_of)
+    acc: dict[tuple[int, ...], int] = {}
+    for occ in M:
+        inside = sorted(aux_of[v] for v in occ.nodes if v in aux_of)
+        if not inside:
+            raise ConstraintError(f"occurrence {occ.nodes!r} has no node in the ball")
+        key = tuple(inside) if len(inside) == 3 else tuple(inside) + (u,)
+        acc[key] = acc.get(key, 0) + 1
+    return dict(sorted(acc.items()))
+
+
+def reference_pairs(hyperedges) -> list[tuple[int, int, int]]:
+    """The doubled pair graph W of (members, weight) hyperedges of 2 or 3
+    pins, as (a, b, weight) in order of first appearance: a 3-pin hyperedge
+    of weight w adds w to each of its pairs, a 2-pin one adds 2w to its pair."""
+    pair_weight: dict[tuple[int, int], int] = {}
+    for members, w in hyperedges:
+        mem = tuple(members)
+        if len(mem) == 2:
+            pair_weight[mem] = pair_weight.get(mem, 0) + 2 * w
+        elif len(mem) == 3:
+            a, b, c = mem
+            for pair in ((a, b), (a, c), (b, c)):
+                pair_weight[pair] = pair_weight.get(pair, 0) + w
+        else:
+            raise InputError(f"aux hyperedge {mem!r} does not have 2 or 3 pins")
+    return [(a, b, w) for (a, b), w in pair_weight.items()]
+
+
+def aux_from_hyperedges(
+    num_ball_nodes: int, hyperedges, seed_nodes, back_map=None
+) -> AuxHypergraph:
+    """An AuxHypergraph given by its (members, weight) hyperedges."""
+    return AuxHypergraph(num_ball_nodes, reference_pairs(hyperedges), seed_nodes, back_map)
 
 
 # -- reference parsers: the line-by-line ingest that io's one-pass parsers replace

@@ -20,9 +20,11 @@ from motifclust import (
     motif_degrees,
 )
 from motifclust.testing import (
+    aux_from_hyperedges,
     brute_motifs,
     random_ball_nodes,
     random_hypergraph,
+    reference_aux_hyperedges,
     synthetic_contact_edges,
 )
 
@@ -32,28 +34,37 @@ def occ(*nodes):
 
 
 def test_build_aux_toy():
+    # one occurrence inside the ball, one reaching outside through node 2
     M = [occ(0, 1, 2), occ(2, 3, 4)]
     aux = build_aux(M, {0, 1, 2}, [0, 1, 2])
     assert aux.u == 3
-    assert aux.edges == (((0, 1, 2), 1), ((2, 3), 1))
+    assert reference_aux_hyperedges(M, {0, 1, 2}) == {(0, 1, 2): 1, (2, 3): 1}
+    assert aux.pairs == ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2))
     assert aux.back_map == (0, 1, 2, COMPLEMENT)
 
 
 def test_build_aux_merges_parallel_crossing_edges():
     M = [occ(0, 5, 6), occ(0, 7, 8)]
     aux = build_aux(M, {0}, [0])
-    assert aux.edges == (((0, 1), 2),)
+    assert aux.pairs == ((0, 1, 4),)
+
+
+def test_build_aux_two_pins_inside_add_u():
+    # an occurrence with two ball nodes contracts to (a, b, u): 1 per pair
+    aux = build_aux([occ(0, 1, 5)], {0, 1}, [0])
+    assert aux.pairs == ((0, 1, 1), (0, 2, 1), (1, 2, 1))
+    assert aux.volumes == (1, 1, 0)
 
 
 def test_build_aux_all_inside_leaves_u_isolated():
     M = [occ(0, 1, 2)]
     aux = build_aux(M, {0, 1, 2}, [0, 1, 2])
-    assert all(aux.u not in members for members, _ in aux.edges)
+    assert all(aux.u not in (a, b) for a, b, _ in aux.pairs)
     assert aux.neighbors[aux.u] == ()
 
 
 def test_aux_pair_graph_doubles_weights():
-    aux = AuxHypergraph(3, [((0, 1, 2), 2), ((2, 3), 3)], seed_nodes=[0])
+    aux = aux_from_hyperedges(3, [((0, 1, 2), 2), ((2, 3), 3)], seed_nodes=[0])
     assert aux.pairs == ((0, 1, 2), (0, 2, 2), (1, 2, 2), (2, 3, 6))
     assert aux.neighbors[2] == ((0, 2), (1, 2), (3, 6))
 
@@ -85,10 +96,80 @@ def test_aux_volumes_are_motif_degrees():
         _assert_volumes_are_motif_degrees(H, ball.nodes, seed)
 
 
-def test_aux_rejects_more_than_three_pins():
-    # cut-net equals half the pair-graph cut only for hyperedges of <= 3 pins
-    with pytest.raises(InputError):
-        AuxHypergraph(4, [((0, 1, 2, 3), 1)], seed_nodes=[0])
+def _assert_matches_reference(H, ball, seed):
+    for pattern in MotifPattern:
+        M = enumerate_motifs(H, ball, pattern)
+        if not M:
+            continue
+        aux = build_aux(M, ball, seed)
+        ref = aux_from_hyperedges(
+            aux.u, reference_aux_hyperedges(M, ball).items(), aux.seed_nodes, aux.back_map[:-1]
+        )
+        assert {(a, b): w for a, b, w in aux.pairs} == {(a, b): w for a, b, w in ref.pairs}
+        assert aux.volumes == ref.volumes
+        assert [set(nb) for nb in aux.neighbors] == [set(nb) for nb in ref.neighbors]
+
+
+def test_build_aux_matches_the_hyperedge_reference_randomized():
+    # W added straight from the occurrences equals W doubled from the merged
+    # auxiliary hyperedges, on criterion 1's random hypergraphs (the seed
+    # hyperedge alone and a random connected ball) and on the core and BFS
+    # balls of a contact-style instance
+    rng = random.Random(59)
+    densities = cycle([(0.12, 0.04), (0.22, 0.10), (0.35, 0.18)])
+    for _ in range(60):
+        H = random_hypergraph(rng, rng.randint(4, 12), *next(densities), big_edge_p=0.02)
+        seed = H.edge(rng.randrange(H.num_edges)).members
+        _assert_matches_reference(H, frozenset(seed), seed)
+        _assert_matches_reference(H, random_ball_nodes(rng, H, seed), seed)
+    H = Hypergraph.from_members(synthetic_contact_edges(n_edges=2000))
+    seed = H.edge(0).members
+    for ball in [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100):
+        _assert_matches_reference(H, ball.nodes, seed)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(-1, 1, 2)], "0 <= a < b <= 3"),
+        ([(1, 1, 2)], "0 <= a < b <= 3"),
+        ([(1, 0, 2)], "0 <= a < b <= 3"),
+        ([(0, 4, 2)], "0 <= a < b <= 3"),
+        ([(0, 1, 0)], "positive integer weight"),
+        ([(0, 1, 2.0)], "positive integer weight"),
+        ([(0, 1, 2), (0, 1, 2)], "repeated W pair"),
+        # a motif degree is half a W degree, so every W degree is even
+        ([(0, 1, 1)], "odd W degree"),
+        ([(0, 1, 1), (1, 2, 1)], "odd W degree"),
+    ],
+)
+def test_aux_rejects_bad_pairs(pairs, message):
+    with pytest.raises(InputError, match=message):
+        AuxHypergraph(3, pairs, seed_nodes=[0])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"num_ball_nodes": 0, "seed_nodes": [0]}, "at least one ball node"),
+        ({"num_ball_nodes": 3, "seed_nodes": []}, "at least one seed node"),
+        ({"num_ball_nodes": 3, "seed_nodes": [3]}, "seed nodes must be ball nodes"),
+        ({"num_ball_nodes": 3, "seed_nodes": [-1]}, "seed nodes must be ball nodes"),
+        ({"num_ball_nodes": 3, "seed_nodes": [0], "back_map": [10, 11]}, "back_map"),
+    ],
+)
+def test_aux_rejects_bad_seeds_and_back_map(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        AuxHypergraph(pairs=[(0, 1, 2)], **kwargs)
+
+
+def test_aux_accepts_a_valid_pair_graph():
+    aux = AuxHypergraph(3, [[0, 1, 1], [0, 3, 1], [1, 3, 1]], seed_nodes=[0], back_map=[7, 8, 9])
+    assert aux.pairs == ((0, 1, 1), (0, 3, 1), (1, 3, 1))
+    assert aux.volumes == (1, 1, 0, 0)
+    assert aux.edges == (((0, 1), 1), ((0, 3), 1), ((1, 3), 1))
+    assert aux.num_edges == 3
+    assert aux.back_map == (7, 8, 9, COMPLEMENT)
 
 
 def test_build_aux_rejects_outside_occurrence():
@@ -114,13 +195,11 @@ def test_weight_conservation_and_u_mass_randomized():
         if not M:
             continue
         aux = build_aux(M, ball, seed)
-        assert sum(w for _, w in aux.edges) == len(M)
+        # each occurrence adds 1 to the motif volume of each of its ball nodes
+        assert sum(aux.volumes) == sum(len(set(o.nodes) & ball) for o in M)
+        # and 2 to u's W degree when it reaches outside the ball
         crossing = sum(1 for o in M if not set(o.nodes) <= ball)
-        u_mass = sum(w for members, w in aux.edges if aux.u in members)
-        assert u_mass == crossing
-        for members, _ in aux.edges:
-            assert len(members) >= 2
-            assert all(0 <= v <= aux.u for v in members)
+        assert sum(w for _, w in aux.neighbors[aux.u]) == 2 * crossing
 
 
 def test_cut_net_equals_motif_cut_randomized():

@@ -2,16 +2,19 @@
 referee, each spelled exactly as run.py spells it, positional arguments
 included. The benchmark's files are frozen between benchmark changes, so a
 signature change that would break it must fail here first.
-perfbench/test_perfbench.py covers the names its tracer patches.
+perfbench/test_perfbench.py covers the names its tracer patches, and
+test_aux_views_the_tracer_reads the aux attributes its tracer reads.
 """
 
 from motifclust import (
     MotifPattern,
+    RunConfig,
     bfs_balls,
     core_ball,
     enumerate_motifs,
     nbr_core_decomposition,
     parse_arb_simplices,
+    run_local_clustering,
 )
 from motifclust.testing import synthetic_contact_edges, write_arb_dataset
 
@@ -43,3 +46,23 @@ def test_direct_calls_of_the_benchmark(tmp_path):
         balls += bfs_balls(H, members, alpha, min_ball)
         assert len(balls) >= 2
         assert all(set(members) <= ball.nodes for ball in balls)
+
+
+def test_aux_views_the_tracer_reads(tmp_path):
+    # perfbench/tracing.py::_aux_counts reads aux.num_edges and unpacks each
+    # aux.edges entry as (members, weight); both view W's pairs
+    path = tmp_path / "contract.txt"
+    edges = synthetic_contact_edges(n_edges=300, n_nodes=30, n_groups=2, seed=7)
+    path.write_text("".join(" ".join(map(str, e)) + "\n" for e in edges))
+    config = RunConfig(input=str(path), seed_edge="index:0", motif="III", beta=2, min_ball=10)
+    _, details = run_local_clustering(config, return_details=True)
+    aux = details.aux
+    assert aux is not None and aux.pairs
+    assert aux.num_edges == len(aux.edges)
+    pairs = set()
+    for members, weight in aux.edges:
+        assert isinstance(weight, int)
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                pairs.add((a, b))
+    assert pairs == {(a, b) for a, b, _ in aux.pairs}

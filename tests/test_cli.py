@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from motifclust.cli import main
@@ -46,7 +47,9 @@ def test_cluster_command_stdout(tmp_path):
          "--beta", "5", "--output", "-"],
     )
     assert result.exit_code == 0, result.output
-    assert '"status": "ok"' in result.output
+    # stdout holds the report alone; the summary line goes to stderr
+    assert json.loads(result.stdout)["status"] == "ok"
+    assert "toy [bfs/III] phi=0.5" in result.stderr
 
 
 def test_cluster_command_input_error_exit_2(tmp_path):
@@ -195,3 +198,24 @@ def test_bench_command_rejects_the_removed_scope_field(tmp_path):
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error:") and "scope" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"runs": [{"input": 5, "motif": "3", "seed_edge": "index:0"}]},
+        {"csv": 7},
+        {"output_dir": ["x"]},
+    ],
+)
+def test_bench_command_rejects_a_path_that_is_not_a_string(tmp_path, change):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    config = {"runs": [{"input": str(data), "motif": "3", "seed_edge": "index:0"}]}
+    config.update(change)
+    config_path = tmp_path / "bench.json"
+    config_path.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, ["bench", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:") and "must be a path string" in result.stderr

@@ -6,7 +6,6 @@ import pytest
 
 import motifclust.partition as mp
 from motifclust import (
-    AuxHypergraph,
     ConstraintError,
     InputError,
     cut_net,
@@ -15,14 +14,16 @@ from motifclust import (
     partition_search,
     random_feasible_partition,
 )
+from motifclust.testing import aux_from_hyperedges
 
 
 def toy_aux():
     # the contracted two-triad toy: nodes a=0, b=1, v=2, u=3
-    return AuxHypergraph(3, [((0, 1, 2), 1), ((2, 3), 1)], seed_nodes=[0, 1, 2])
+    return aux_from_hyperedges(3, [((0, 1, 2), 1), ((2, 3), 1)], seed_nodes=[0, 1, 2])
 
 
-def random_aux(rng, max_nodes=12):
+def random_hyperedges(rng, max_nodes=12):
+    """(ball size, {members: weight}, seeds) of a random auxiliary hypergraph."""
     ball = rng.randint(2, max_nodes - 1)
     u = ball
     edges = {}
@@ -35,7 +36,12 @@ def random_aux(rng, max_nodes=12):
         edges = {(0, u): 1}
     n_seeds = rng.randint(1, max(1, ball // 2))
     seeds = rng.sample(range(ball), n_seeds)
-    return AuxHypergraph(ball, sorted(edges.items()), seed_nodes=seeds)
+    return ball, edges, seeds
+
+
+def random_aux(rng, max_nodes=12):
+    ball, edges, seeds = random_hyperedges(rng, max_nodes)
+    return aux_from_hyperedges(ball, sorted(edges.items()), seed_nodes=seeds)
 
 
 def all_consistent_partitions(aux):
@@ -78,7 +84,7 @@ def test_random_feasible_partition_respects_bound():
 
 
 def test_random_feasible_partition_infeasible_seeds():
-    aux = AuxHypergraph(4, [((0, 4), 1)], seed_nodes=[0, 1, 2, 3])
+    aux = aux_from_hyperedges(4, [((0, 4), 1)], seed_nodes=[0, 1, 2, 3])
     with pytest.raises(ConstraintError):
         random_feasible_partition(aux, 0.01, random.Random(0))
 
@@ -103,9 +109,9 @@ def test_fm_refine_keeps_fixed_nodes():
         assert refined[aux.u] == 1
 
 
-def hyperedge_cut(aux, blocks):
+def hyperedge_cut(edges, blocks):
     # reference cut-net straight from the hyperedges, independent of W
-    return sum(w for members, w in aux.edges if len({blocks[v] for v in members}) == 2)
+    return sum(w for members, w in edges.items() if len({blocks[v] for v in members}) == 2)
 
 
 def test_fm_gain_correctness_brute():
@@ -113,9 +119,10 @@ def test_fm_gain_correctness_brute():
     # is twice the hyperedge cut-net delta of flipping it
     rng = random.Random(5)
     for _ in range(40):
-        aux = random_aux(rng, max_nodes=9)
+        ball, edges, seeds = random_hyperedges(rng, max_nodes=9)
+        aux = aux_from_hyperedges(ball, sorted(edges.items()), seed_nodes=seeds)
         blocks = random_feasible_partition(aux, 0.5, rng)
-        base = hyperedge_cut(aux, blocks)
+        base = hyperedge_cut(edges, blocks)
         assert cut_net(aux, blocks) == base
         for v in range(aux.num_nodes):
             flipped = list(blocks)
@@ -124,12 +131,12 @@ def test_fm_gain_correctness_brute():
                 continue
             gain_w = sum(w if blocks[x] != blocks[v] else -w for x, w in aux.neighbors[v])
             assert gain_w % 2 == 0
-            assert gain_w // 2 == base - hyperedge_cut(aux, flipped), f"node {v}"
+            assert gain_w // 2 == base - hyperedge_cut(edges, flipped), f"node {v}"
 
 
 def test_fm_refine_toy_no_worse_than_start():
     aux = toy_aux()
-    free_aux = AuxHypergraph(3, [((0, 1, 2), 1), ((2, 3), 1)], seed_nodes=[0])
+    free_aux = aux_from_hyperedges(3, [((0, 1, 2), 1), ((2, 3), 1)], seed_nodes=[0])
     start = [0, 0, 1, 1]
     refined = fm_refine(free_aux, start, 0.5)
     assert cut_net(free_aux, refined) <= cut_net(free_aux, start) == 1
@@ -157,7 +164,7 @@ def test_fm_observer_cut_tracking_and_nonempty_blocks():
 
 
 def test_enforce_consistency():
-    aux = AuxHypergraph(3, [((0, 3), 1)], seed_nodes=[0, 1])
+    aux = aux_from_hyperedges(3, [((0, 3), 1)], seed_nodes=[0, 1])
     assert enforce_consistency(aux, [0, 0, 1, 1]) == [0, 0, 1, 1]
     # u on block 0: relabel flips everything first
     assert enforce_consistency(aux, [1, 1, 0, 0]) == [0, 0, 1, 1]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -157,6 +158,36 @@ def test_run_benchmark_rows_and_overall(tmp_path):
     assert float(bfs_overall["phi"]) == pytest.approx(mean, abs=1e-3)
     with pytest.raises(InputError):
         run_benchmark([])
+
+
+def test_run_benchmark_names_reports_by_motif(tmp_path):
+    out = tmp_path / "reports"
+    configs = [
+        toy_config(tmp_path, seed_edge="index:0", method="core", motif=motif)
+        for motif in ("III", "VI")
+    ]
+    result = run_benchmark(configs, output_dir=str(out))
+    assert len(result.reports) == 2 and not result.failures
+    assert sorted(p.name for p in out.iterdir()) == [
+        "toy__core__III__seed0.json",
+        "toy__core__VI__seed0.json",
+    ]
+
+
+def test_run_benchmark_refuses_to_overwrite_a_report(tmp_path):
+    # two runs that differ only in rng_seed share one report name: the second
+    # fails its row, names the file, and leaves the first report in place
+    out = tmp_path / "reports"
+    configs = [toy_config(tmp_path, seed_edge="index:0", rng_seed=seed) for seed in (1, 2)]
+    result = run_benchmark(configs, output_dir=str(out))
+    path = out / "toy__bfs__III__seed0.json"
+    assert [p.name for p in out.iterdir()] == [path.name]
+    assert len(result.reports) == 1 and result.reports[0].rng_seed == 1
+    assert len(result.failures) == 1
+    assert str(path) in result.failures[0][2]
+    assert json.loads(path.read_text())["rng_seed"] == 1
+    data_rows = [r for r in result.rows if r["graph"] != "Overall"]
+    assert [r["phi"] != "" for r in data_rows] == [True, False]
 
 
 def test_dataset_smaller_than_min_ball_still_completes(tmp_path):
