@@ -34,12 +34,12 @@ print("(0,1,3):", classify_triple(H, 0, 1, 3))          # None: disconnected
 # enumeration is ball-local: every occurrence with >= 1 node in B, including
 # wedges whose far endpoint lies outside the closed neighborhood N[B]
 B = {2}
-print("\nwedges touching {2}:", [o.nodes for o in enumerate_motifs(H, B, MotifPattern.I)])
+print("\nwedges touching {2}:", enumerate_motifs(H, B, MotifPattern.I))  # sorted triples
 
 # motif degrees count occurrences per node; conductance of a cluster C is
 # cut / min(volume inside, volume outside), all in exact rationals
 M = enumerate_motifs(H, frozenset(range(H.n)), MotifPattern.I)
-print("\nall wedge occurrences:", [o.nodes for o in M])
+print("\nall wedge occurrences:", M)
 print("motif degrees:", motif_degrees(M))
 C = {0, 1, 2, 3}
 print("cut of", sorted(C), "=", motif_cut(M, C))

@@ -42,7 +42,7 @@ print(f"core ball at k={B.detail}: {sorted(B.nodes)}")  # pocket A only
 # its weight straight to the pairs of the doubled pair graph W
 M = enumerate_motifs(H, B, MotifPattern.VI)
 aux = build_aux(M, B, seed)
-print("\noccurrences touching the ball:", [o.nodes for o in M])
+print("\noccurrences touching the ball:", M)
 print("W pairs (a, b, weight):", aux.pairs, "u =", aux.u)
 # each ball node's motif degree is half its degree in the doubled pair graph W
 print("motif degrees of the aux nodes (u last, always 0):", aux.volumes)

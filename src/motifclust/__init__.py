@@ -27,7 +27,6 @@ from .errors import (
 )
 from .io import ClusterReport, parse_arb_simplices, parse_edge_list, read_report, write_report
 from .motifs import (
-    MotifOccurrence,
     MotifPattern,
     classify_triple,
     count_motifs,
@@ -59,7 +58,6 @@ __all__ = [
     "Hypergraph",
     "InputError",
     "InternalError",
-    "MotifOccurrence",
     "MotifPattern",
     "ParseError",
     "RefinementError",

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ConstraintError, InputError
-from .motifs import MotifOccurrence
 
 COMPLEMENT = "complement"  # back_map symbol for the contracted node u
 
@@ -89,9 +88,9 @@ class AuxHypergraph:
 
 
 def build_aux(
-    M: Iterable[MotifOccurrence], ball, seed: Iterable[int]
+    M: Iterable[tuple[int, int, int]], ball, seed: Iterable[int]
 ) -> AuxHypergraph:
-    """Contract a motif occurrence collection over a ball into W.
+    """Contract motif occurrences, sorted node triples, over a ball into W.
 
     Each occurrence adds the weights of its contracted hyperedge to W's
     pairs. Construction is linear in |ball| + |M|.
@@ -108,10 +107,10 @@ def build_aux(
         raise ConstraintError(f"seed nodes {sorted(seed_set)} are not all inside the ball")
     weight: dict[tuple[int, int], int] = {}
     get = weight.get
-    for occ in M:
-        pins = sorted([aux_of[v] for v in occ.nodes if v in aux_of])
+    for triple in M:
+        pins = sorted([aux_of[v] for v in triple if v in aux_of])
         if not pins:
-            raise ConstraintError(f"occurrence {occ.nodes!r} has no node in the ball")
+            raise ConstraintError(f"occurrence {triple!r} has no node in the ball")
         if len(pins) < 3:
             pins.append(u)
         if len(pins) == 2:

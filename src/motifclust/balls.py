@@ -79,7 +79,7 @@ def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
                 if not edge_alive[ei]:
                     continue
                 edge_alive[ei] = 0
-                mem = H.edge(ei).members
+                mem = H.edges[ei].members
                 for pair in combinations(mem, 2):
                     left = pair_count[pair] - 1
                     pair_count[pair] = left

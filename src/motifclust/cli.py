@@ -105,24 +105,28 @@ def bench(config_path) -> None:
         raise InputFailure("bench config has no 'runs' entries")
     output_dir = _resolve(spec, "output_dir")
     csv_path = _resolve(spec, "csv")
+    if csv_path and not os.path.isdir(os.path.dirname(csv_path)):
+        raise InputFailure(f"bench config 'csv' is in a directory that does not exist: {csv_path}")
     configs = []
     for entry in runs:
         if not isinstance(entry, dict) or not {"input", "motif", "seed_edge"} <= entry.keys():
             raise InputFailure(f"each run needs input, motif and seed_edge: {entry!r}")
+        if "output" in entry:
+            raise InputFailure("a bench run takes no 'output'; 'output_dir' writes its reports")
         entry = dict(entry, input=_resolve(entry, "input"))
         try:
-            configs.append(RunConfig(**entry))
-        except TypeError as exc:
+            config = RunConfig(**entry)
+            config.validate()
+        except (TypeError, InputError) as exc:
             raise InputFailure(f"bad run entry {entry!r}: {exc}") from exc
+        configs.append(config)
     try:
         result = run_benchmark(configs, output_dir=output_dir)
-    except InputError as exc:
+        mio.write_benchmark_csv(result.rows, csv_path or sys.stdout)
+    except (InputError, OSError) as exc:
         raise InputFailure(str(exc)) from exc
     if csv_path:
-        mio.write_benchmark_csv(result.rows, csv_path)
         click.echo(f"wrote {csv_path}")
-    else:
-        mio.write_benchmark_csv(result.rows, sys.stdout)
     for dataset, method, error in result.failures:
         click.echo(f"FAILED {dataset} [{method}]: {error}", err=True)
 

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .auxiliary import AuxHypergraph
 from .errors import ConstraintError, InputError, UndefinedConductanceError
-from .motifs import MotifOccurrence
 
 
 class ConductanceResult:
@@ -67,21 +66,19 @@ def motif_conductance(cut: int, vol0: int, total: int) -> Fraction | None:
     return Fraction(cut, denom)
 
 
-def motif_cut(M: Iterable[MotifOccurrence], cluster: Iterable[int]) -> int:
-    """Occurrences with at least one node inside the cluster and one outside."""
+def motif_cut(M: Iterable[tuple[int, int, int]], cluster: Iterable[int]) -> int:
+    """Occurrence triples with at least one node inside the cluster and one outside."""
     C = frozenset(cluster)
-    if not C:
-        return 0
     total = 0
-    for occ in M:
-        inside = sum(1 for v in occ.nodes if v in C)
+    for triple in M:
+        inside = sum(1 for v in triple if v in C)
         if 0 < inside < 3:
             total += 1
     return total
 
 
 def conductance_direct(
-    M_global: Iterable[MotifOccurrence], cluster: Iterable[int]
+    M_global: Iterable[tuple[int, int, int]], cluster: Iterable[int]
 ) -> ConductanceResult:
     """Exact definition: cut / min(d_mu(C), d_mu(complement)) over all occurrences.
 
@@ -92,13 +89,8 @@ def conductance_direct(
     """
     C = frozenset(cluster)
     M = list(M_global)
-    cut = 0
-    vol_c = 0
-    for occ in M:
-        inside = sum(1 for v in occ.nodes if v in C)
-        vol_c += inside
-        if 0 < inside < 3:
-            cut += 1
+    cut = motif_cut(M, C)
+    vol_c = sum(v in C for triple in M for v in triple)
     vol_rest = 3 * len(M) - vol_c
     if vol_rest == 0:
         raise UndefinedConductanceError(

@@ -113,6 +113,8 @@ class Hypergraph:
         return self._edges
 
     def edge(self, i: int) -> Hyperedge:
+        if not 0 <= i < len(self._edges):
+            raise InputError(f"hyperedge index {i} out of range [0, {len(self._edges)})")
         return self._edges[i]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:

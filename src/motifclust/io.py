@@ -230,8 +230,11 @@ def write_benchmark_csv(rows: list[dict], target) -> None:
     if hasattr(target, "write"):
         _write(target)
         return
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        _write(fh)
+    try:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            _write(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot write benchmark CSV: {exc}", path=str(target)) from exc
 
 
 def render_phi(phi: Fraction | None) -> float | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .core import Hypergraph
 from .errors import InputError
@@ -70,11 +70,6 @@ class MotifPattern(Enum):
 _BY_FLAGS = {p.value: p for p in MotifPattern}
 
 
-class MotifOccurrence(NamedTuple):
-    nodes: tuple[int, int, int]  # sorted triple
-    pattern: MotifPattern
-
-
 def classify_triple(H: Hypergraph, a: int, b: int, c: int) -> MotifPattern | None:
     """Pattern of the induced subhypergraph on {a, b, c}, or None if disconnected."""
     if a == b or a == c or b == c:
@@ -92,12 +87,13 @@ def enumerate_motifs(
     ball,
     pattern: MotifPattern,
     scope: str = "exact",
-) -> list[MotifOccurrence]:
-    """All occurrences of ``pattern`` with at least one node in the ball.
+) -> list[tuple[int, int, int]]:
+    """All occurrences of ``pattern`` with at least one node in the ball, as
+    sorted node triples.
 
     ``ball`` may be a Ball or any iterable of node ids. Every such occurrence
     is found, wherever its other nodes lie; each triple is reported exactly
-    once, sorted, and the result is sorted by triple. ``scope`` accepts only
+    once, and the result is sorted. ``scope`` accepts only
     ``"exact"``: it remains because ``perfbench/run.py`` passes it
     positionally.
     """
@@ -113,7 +109,7 @@ def enumerate_motifs(
     region = H.closed_neighborhood(B)
     dyads = H.dyads
     triads = H.triads
-    out: list[MotifOccurrence] = []
+    out: list[tuple[int, int, int]] = []
 
     if pattern.has_triadic:
         want = pattern.dyad_count
@@ -123,7 +119,7 @@ def enumerate_motifs(
             x, y, z = mem
             d = ((x, y) in dyads) + ((x, z) in dyads) + ((y, z) in dyads)
             if d == want:
-                out.append(MotifOccurrence(mem, pattern))
+                out.append(mem)
     elif pattern is MotifPattern.II:
         # dyadic triangles; any triangle touching B lies inside N[B]
         for a in sorted(region):
@@ -137,7 +133,7 @@ def enumerate_motifs(
                     triple = (a, b, c)
                     if B.isdisjoint(triple) or triple in triads:
                         continue
-                    out.append(MotifOccurrence(triple, pattern))
+                    out.append(triple)
     else:
         # pattern I: open wedges; the center is always inside N[B], the two
         # endpoints may sit one step further out
@@ -150,8 +146,8 @@ def enumerate_motifs(
                         continue
                     if (a, b) in dyads or triple in triads:
                         continue
-                    out.append(MotifOccurrence(triple, pattern))
-    out.sort(key=lambda o: o.nodes)
+                    out.append(triple)
+    out.sort()
     return out
 
 
@@ -187,10 +183,10 @@ def count_motifs(H: Hypergraph, pattern: MotifPattern) -> int:
     return wedges - 3 * triangles - triads_with(2)
 
 
-def motif_degrees(M: Iterable[MotifOccurrence]) -> dict[int, int]:
+def motif_degrees(M: Iterable[tuple[int, int, int]]) -> dict[int, int]:
     """d_mu(v): occurrences containing v, for every node of some occurrence;
     set volume d_mu(S) is the sum of the member values."""
     counts: Counter[int] = Counter()
-    for occ in M:
-        counts.update(occ.nodes)
+    for triple in M:
+        counts.update(triple)
     return dict(counts)

@@ -58,6 +58,10 @@ class RunConfig:
     dataset: str | None = None
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "min_ball", "rng_seed", "eps_min", "eps_max"):
+            value, kind = getattr(self, name), (float if name.startswith("eps") else int)
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise InputError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.method not in ("core", "bfs"):
             raise InputError(f"method must be 'core' or 'bfs', got {self.method!r}")
         if self.format not in ("edgelist", "arb"):
@@ -84,7 +88,7 @@ class RunDetails:
     seed_index: int
     balls: list[Ball]
     winning_ball: Ball | None = None
-    occurrences: list = field(default_factory=list)
+    occurrences: list[tuple[int, int, int]] = field(default_factory=list)
     aux: AuxHypergraph | None = None
     blocks: list[int] | None = None
     phi: Fraction | None = None
@@ -358,6 +362,8 @@ def run_benchmark(
             {"graph": graph, "method": config.method, "phi": "", "cluster_size": "", "time_s": ""}
         )
 
+    if output_dir:
+        os.makedirs(output_dir, exist_ok=True)
     written: set[str] = set()
     for config in configs:
         try:
@@ -381,7 +387,6 @@ def run_benchmark(
                     fail(single, InputError(f"report {path} was already written in this bench run"))
                     continue
                 written.add(path)
-                os.makedirs(output_dir, exist_ok=True)
                 mio.write_report(report, path)
             reports.append(report)
             ok = report.status == "ok"

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedConductanceError,
 )
 from .io import ParseResult
-from .motifs import MotifOccurrence, MotifPattern, classify_triple
+from .motifs import MotifPattern, classify_triple
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,11 @@ DEFAULT_BUDGET = OracleBudget()
 
 def brute_motifs(
     H: Hypergraph, pattern: MotifPattern, budget: OracleBudget = DEFAULT_BUDGET
-) -> list[MotifOccurrence]:
+) -> list[tuple[int, int, int]]:
     """Classify every C(n, 3) triple; the reference for enumerate_motifs."""
     if H.n > budget.max_nodes:
         raise BudgetExceededError(f"{H.n} nodes exceed the oracle budget of {budget.max_nodes}")
-    out = []
-    for triple in combinations(range(H.n), 3):
-        if classify_triple(H, *triple) is pattern:
-            out.append(MotifOccurrence(triple, pattern))
-    return out
+    return [t for t in combinations(range(H.n), 3) if classify_triple(H, *t) is pattern]
 
 
 def brute_best_cluster(
@@ -122,17 +118,17 @@ def brute_nbr_core_numbers(H: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET)
 def reference_aux_hyperedges(M, ball) -> dict[tuple[int, ...], int]:
     """The auxiliary hyperedges of ``M`` over ``ball``, sorted, with weights.
 
-    Ball nodes get aux ids in sorted order and u = |ball|. An occurrence maps
-    to its inside ids, plus u when it reaches outside the ball, and parallel
-    hyperedges merge with their multiplicity as weight.
+    Ball nodes get aux ids in sorted order and u = |ball|. An occurrence
+    triple maps to its inside ids, plus u when it reaches outside the ball,
+    and parallel hyperedges merge with their multiplicity as weight.
     """
     aux_of = {v: i for i, v in enumerate(sorted(getattr(ball, "nodes", ball)))}
     u = len(aux_of)
     acc: dict[tuple[int, ...], int] = {}
-    for occ in M:
-        inside = sorted(aux_of[v] for v in occ.nodes if v in aux_of)
+    for triple in M:
+        inside = sorted(aux_of[v] for v in triple if v in aux_of)
         if not inside:
-            raise ConstraintError(f"occurrence {occ.nodes!r} has no node in the ball")
+            raise ConstraintError(f"occurrence {triple!r} has no node in the ball")
         key = tuple(inside) if len(inside) == 3 else tuple(inside) + (u,)
         acc[key] = acc.get(key, 0) + 1
     return dict(sorted(acc.items()))

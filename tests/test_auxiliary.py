@@ -9,7 +9,6 @@ from motifclust import (
     ConstraintError,
     Hypergraph,
     InputError,
-    MotifOccurrence,
     MotifPattern,
     bfs_balls,
     build_aux,
@@ -29,13 +28,9 @@ from motifclust.testing import (
 )
 
 
-def occ(*nodes):
-    return MotifOccurrence(tuple(sorted(nodes)), MotifPattern.III)
-
-
 def test_build_aux_toy():
     # one occurrence inside the ball, one reaching outside through node 2
-    M = [occ(0, 1, 2), occ(2, 3, 4)]
+    M = [(0, 1, 2), (2, 3, 4)]
     aux = build_aux(M, {0, 1, 2}, [0, 1, 2])
     assert aux.u == 3
     assert reference_aux_hyperedges(M, {0, 1, 2}) == {(0, 1, 2): 1, (2, 3): 1}
@@ -44,20 +39,20 @@ def test_build_aux_toy():
 
 
 def test_build_aux_merges_parallel_crossing_edges():
-    M = [occ(0, 5, 6), occ(0, 7, 8)]
+    M = [(0, 5, 6), (0, 7, 8)]
     aux = build_aux(M, {0}, [0])
     assert aux.pairs == ((0, 1, 4),)
 
 
 def test_build_aux_two_pins_inside_add_u():
     # an occurrence with two ball nodes contracts to (a, b, u): 1 per pair
-    aux = build_aux([occ(0, 1, 5)], {0, 1}, [0])
+    aux = build_aux([(0, 1, 5)], {0, 1}, [0])
     assert aux.pairs == ((0, 1, 1), (0, 2, 1), (1, 2, 1))
     assert aux.volumes == (1, 1, 0)
 
 
 def test_build_aux_all_inside_leaves_u_isolated():
-    M = [occ(0, 1, 2)]
+    M = [(0, 1, 2)]
     aux = build_aux(M, {0, 1, 2}, [0, 1, 2])
     assert all(aux.u not in (a, b) for a, b, _ in aux.pairs)
     assert aux.neighbors[aux.u] == ()
@@ -174,12 +169,12 @@ def test_aux_accepts_a_valid_pair_graph():
 
 def test_build_aux_rejects_outside_occurrence():
     with pytest.raises(ConstraintError):
-        build_aux([occ(5, 6, 7)], {0, 1}, [0, 1])
+        build_aux([(5, 6, 7)], {0, 1}, [0, 1])
 
 
 def test_build_aux_rejects_seed_outside_ball():
     with pytest.raises(ConstraintError):
-        build_aux([occ(0, 1, 2)], {0, 1, 2}, [0, 9])
+        build_aux([(0, 1, 2)], {0, 1, 2}, [0, 9])
 
 
 def test_weight_conservation_and_u_mass_randomized():
@@ -196,9 +191,9 @@ def test_weight_conservation_and_u_mass_randomized():
             continue
         aux = build_aux(M, ball, seed)
         # each occurrence adds 1 to the motif volume of each of its ball nodes
-        assert sum(aux.volumes) == sum(len(set(o.nodes) & ball) for o in M)
+        assert sum(aux.volumes) == sum(len(ball.intersection(t)) for t in M)
         # and 2 to u's W degree when it reaches outside the ball
-        crossing = sum(1 for o in M if not set(o.nodes) <= ball)
+        crossing = sum(1 for t in M if not ball.issuperset(t))
         assert sum(w for _, w in aux.neighbors[aux.u]) == 2 * crossing
 
 

@@ -219,3 +219,60 @@ def test_bench_command_rejects_a_path_that_is_not_a_string(tmp_path, change):
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error:") and "must be a path string" in result.stderr
+
+
+def _invoke_bench(tmp_path, runs, **top):
+    config_path = tmp_path / "bench.json"
+    config_path.write_text(json.dumps(dict(top, runs=runs)))
+    return CliRunner().invoke(main, ["bench", "--config", str(config_path)])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("beta", "x"), ("eps_min", "0.1"), ("alpha", True), ("rng_seed", 1.5), ("eps_max", None)],
+)
+def test_bench_command_rejects_a_wrongly_typed_number(tmp_path, field, value):
+    # every entry is checked before the first run: no report directory appears
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    good = {"input": str(data), "motif": "3", "seed_edge": "index:0"}
+    result = _invoke_bench(
+        tmp_path, [good, dict(good, **{field: value})], output_dir="reports"
+    )
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:") and field in result.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+def test_bench_command_rejects_output_in_a_run(tmp_path):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    run = {"input": str(data), "motif": "3", "seed_edge": "random:2", "output": "one.json"}
+    result = _invoke_bench(tmp_path, [run])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:") and "'output_dir'" in result.stderr
+    assert not (tmp_path / "one.json").exists()
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        {"csv": "missing/bench.csv", "output_dir": "reports"},
+        {"csv": "taken"},  # a directory: caught when the CSV is written
+        {"output_dir": "toy.txt", "csv": "bench.csv"},  # names an existing file
+    ],
+)
+def test_bench_command_bad_output_path(tmp_path, paths):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    (tmp_path / "taken").mkdir()
+    run = {"input": str(data), "motif": "3", "seed_edge": "index:0", "beta": 2}
+    result = _invoke_bench(tmp_path, [run], **paths)
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error:")
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert not (tmp_path / "bench.csv").exists()
+    assert not (tmp_path / "reports").exists()  # a missing CSV directory stops every run

@@ -157,15 +157,10 @@ def test_phi_range_invariant():
 
 
 def test_monotone_sanity_adding_inside_occurrence():
-    from motifclust.motifs import MotifOccurrence
-
-    M = [
-        MotifOccurrence((0, 1, 2), MotifPattern.III),
-        MotifOccurrence((2, 3, 4), MotifPattern.III),
-    ]
+    M = [(0, 1, 2), (2, 3, 4)]
     C = {0, 1, 2, 5}
     base = conductance_direct(M, C)
-    extra = M + [MotifOccurrence((0, 1, 5), MotifPattern.III)]
+    extra = M + [(0, 1, 5)]
     # an occurrence entirely inside C leaves the cut unchanged and can only
     # shrink phi through the denominator
     res = conductance_direct(extra, C)

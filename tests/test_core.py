@@ -78,6 +78,15 @@ def test_edge_index_of_misses():
     assert H.edge_index_of([-1, 0]) is None
 
 
+def test_edge_is_range_checked():
+    # like incident_edges and degree: no silent wrap-around at -1
+    H = Hypergraph.from_members([[0, 1, 2], [2, 3]])
+    assert H.edge(1).members == (2, 3)
+    for i in (-1, 2):
+        with pytest.raises(InputError, match="out of range"):
+            H.edge(i)
+
+
 def test_duplicate_edges_rejected_at_construction():
     with pytest.raises(InputError):
         Hypergraph(3, [[0, 1], [1, 0]])

@@ -147,5 +147,5 @@ def test_ring_wedges_reach_past_the_closed_neighborhood(ring):
     for method in ("core", "bfs"):
         _report, details = runs[("I", method)]
         region = parsed.hypergraph.closed_neighborhood(details.winning_ball.nodes)
-        beyond += sum(not region.issuperset(o.nodes) for o in details.occurrences)
+        beyond += sum(not region.issuperset(t) for t in details.occurrences)
     assert beyond > 0

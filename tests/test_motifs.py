@@ -62,7 +62,9 @@ def test_classify_rejects_duplicates():
 def test_enumerate_two_triads_touching_ball():
     H = Hypergraph.from_members([[0, 1, 2], [2, 3, 4]])
     M = enumerate_motifs(H, {0, 1, 2}, MotifPattern.III)
-    assert [occ.nodes for occ in M] == [(0, 1, 2), (2, 3, 4)]
+    # an occurrence is its sorted node triple, a plain tuple
+    assert M == [(0, 1, 2), (2, 3, 4)]
+    assert all(type(t) is tuple for t in M)
 
 
 def test_enumerate_pattern_one_needs_dyads():
@@ -79,7 +81,7 @@ def test_enumerate_requires_nonempty_ball():
 def test_enumerate_accepts_only_the_exact_scope():
     # wedge 0-1-2 with ball {0}: endpoint 2 sits outside N[{0}] = {0, 1}
     H = Hypergraph.from_members([[0, 1], [1, 2]])
-    assert [occ.nodes for occ in enumerate_motifs(H, {0}, MotifPattern.I)] == [(0, 1, 2)]
+    assert enumerate_motifs(H, {0}, MotifPattern.I) == [(0, 1, 2)]
     for pattern in MotifPattern:
         assert enumerate_motifs(H, {0}, pattern, "exact") == enumerate_motifs(H, {0}, pattern)
     with pytest.raises(InputError):
@@ -98,7 +100,7 @@ def test_enumerate_on_a_ball_matches_brute_force_randomized():
         seed = H.edge(rng.randrange(H.num_edges)).members
         for ball in (frozenset(seed), random_ball_nodes(rng, H, seed)):
             for pattern in MotifPattern:
-                expected = [o for o in brute_motifs(H, pattern) if not ball.isdisjoint(o.nodes)]
+                expected = [t for t in brute_motifs(H, pattern) if not ball.isdisjoint(t)]
                 assert enumerate_motifs(H, ball, pattern) == expected, (H.edges, ball, pattern)
 
 
@@ -110,7 +112,7 @@ def test_enumerate_matches_brute_force_all_patterns():
         for pattern in MotifPattern:
             got = enumerate_motifs(H, everything, pattern)
             assert got == brute_motifs(H, pattern)
-            assert len(got) == len({occ.nodes for occ in got})  # no duplicates
+            assert len(got) == len(set(got))  # no duplicates
 
 
 def test_count_motifs_equals_global_enumeration():
@@ -137,9 +139,9 @@ def test_pattern_partition_randomized():
         everything = frozenset(range(H.n))
         by_triple = {}
         for pattern in MotifPattern:
-            for occ in enumerate_motifs(H, everything, pattern):
-                assert occ.nodes not in by_triple
-                by_triple[occ.nodes] = pattern
+            for triple in enumerate_motifs(H, everything, pattern):
+                assert triple not in by_triple
+                by_triple[triple] = pattern
         for triple, pattern in by_triple.items():
             assert classify_triple(H, *triple) is pattern
 
