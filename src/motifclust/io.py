@@ -15,6 +15,7 @@ Reports serialize as canonical sorted-key JSON so golden files are byte-stable.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -43,23 +44,33 @@ def _build_result(chunks: list, source: str) -> ParseResult:
 
     Ids follow the first appearance of a label in a kept chunk, so a label
     that occurs only in dropped hyperedges gets none. Each kept chunk is
-    canonicalised here once; ``Hyperedge`` validates it once.
+    canonicalised here once; ``Hyperedge`` validates it once. The cyclic
+    garbage collector is paused meanwhile, if it was running: the build
+    makes a few container objects per hyperedge, none of them in a cycle,
+    and the collector would otherwise rescan the growing heap many times.
     """
-    kept = [len(set(chunk)) > 1 for chunk in chunks]
-    labels = list(dict.fromkeys(chain.from_iterable(compress(chunks, kept))))
-    to_id = dict(zip(labels, range(len(labels)))).__getitem__
-    keys = [tuple(sorted(set(map(to_id, chunk)))) for chunk in compress(chunks, kept)]
-    unique = dict.fromkeys(keys)
-    if not unique:
-        raise InputError(f"no usable hyperedges in {source} after cleaning")
-    dropped = len(chunks) - len(keys)
-    merged = len(keys) - len(unique)
-    if dropped:
-        log.warning("%s: dropped %d hyperedges with < 2 distinct nodes", source, dropped)
-    if merged:
-        log.warning("%s: merged %d duplicate hyperedges", source, merged)
-    hypergraph = Hypergraph(len(labels), list(map(Hyperedge, unique)))
-    return ParseResult(hypergraph, labels, dropped, merged)
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
+    try:
+        kept = [len(set(chunk)) > 1 for chunk in chunks]
+        labels = list(dict.fromkeys(chain.from_iterable(compress(chunks, kept))))
+        to_id = dict(zip(labels, range(len(labels)))).__getitem__
+        keys = [tuple(sorted(set(map(to_id, chunk)))) for chunk in compress(chunks, kept)]
+        unique = dict.fromkeys(keys)
+        if not unique:
+            raise InputError(f"no usable hyperedges in {source} after cleaning")
+        dropped = len(chunks) - len(keys)
+        merged = len(keys) - len(unique)
+        if dropped:
+            log.warning("%s: dropped %d hyperedges with < 2 distinct nodes", source, dropped)
+        if merged:
+            log.warning("%s: merged %d duplicate hyperedges", source, merged)
+        hypergraph = Hypergraph(len(labels), list(map(Hyperedge, unique)))
+        return ParseResult(hypergraph, labels, dropped, merged)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _tokens(text: str) -> list[str]:

@@ -106,7 +106,6 @@ def enumerate_motifs(
             raise InputError(f"ball node {v} out of range")
     if scope != "exact":
         raise InputError(f"scope must be 'exact', got {scope!r}")
-    region = H.closed_neighborhood(B)
     dyads = H.dyads
     triads = H.triads
     out: list[tuple[int, int, int]] = []
@@ -122,6 +121,7 @@ def enumerate_motifs(
                 out.append(mem)
     elif pattern is MotifPattern.II:
         # dyadic triangles; any triangle touching B lies inside N[B]
+        region = H.closed_neighborhood(B)
         for a in sorted(region):
             na = H.dyadic_neighbors(a)
             for b in sorted(na):
@@ -137,7 +137,7 @@ def enumerate_motifs(
     else:
         # pattern I: open wedges; the center is always inside N[B], the two
         # endpoints may sit one step further out
-        for center in sorted(region):
+        for center in sorted(H.closed_neighborhood(B)):
             nbrs = sorted(H.dyadic_neighbors(center))
             for i, a in enumerate(nbrs):
                 for b in nbrs[i + 1 :]:

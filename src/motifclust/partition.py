@@ -1,13 +1,17 @@
 """Phase four: 2-way cut-net partitioning of the auxiliary hypergraph.
 
 The auxiliary hypergraph is held as its doubled pair graph W, whose cut is
-twice the cut-net (see ``auxiliary``). Refinement is
-Fiduccia-Mattheyses on W, with one lazy max-gain heap per block, restarted
-under randomized imbalance. Block 0 is the cluster side (holds the seed
-nodes); block 1 holds the contracted node u. The contracted node never moves;
-every other node, seeds included, is free during refinement, and seeds are
-moved back to block 0 afterwards. States are scored with
-``conductance.motif_conductance`` over the aux's own motif volumes.
+twice the cut-net (see ``auxiliary``). Refinement is Fiduccia-Mattheyses on
+W, with one lazy max-gain heap per block, restarted under randomized
+imbalance. A heap entry is one int, ``key * N + v`` for node v with negated
+gain ``key`` among N aux nodes; as 0 <= v < N, the ints order exactly as
+(key, v) tuples would, so the moves are those of a tuple heap
+(``testing.reference_fm_refine``) without a tuple per entry. Block 0 is the
+cluster side (holds the seed nodes); block 1 holds the contracted node u.
+The contracted node never moves; every other node, seeds included, is free
+during refinement, and seeds are moved back to block 0 afterwards. States
+are scored with ``conductance.motif_conductance`` over the aux's own motif
+volumes.
 """
 
 from __future__ import annotations
@@ -93,12 +97,15 @@ def fm_refine(
     Gains are taken on the pair graph W, where they are exactly twice the
     cut-net gains, so the move order (max gain, ties to the smaller id) is
     the cut-net one. Whether a move is feasible depends only on the mover's
-    block, so each block keeps its own lazy heap of (-gain, node) and a block
-    that may not give up a node is not scanned. An entry is pushed when a
-    gain rises; when a gain falls, the node's older entry surfaces early and
-    is re-pushed then. Every free node thus has an entry no larger than its
-    key, so the first entry that matches its node's key is the block's best
-    move.
+    block, so each block keeps its own lazy heap and a block that may not
+    give up a node is not scanned. A node's key is its negated W gain, and
+    its heap entry is the one int ``key * N + v`` with N = ``aux.num_nodes``:
+    since 0 <= v < N, ints order exactly as (key, v) pairs would (lowest key
+    first, ties to the smaller id), and ``divmod(entry, N)`` gives them back,
+    negative keys included. An entry is pushed when a gain rises; when a
+    gain falls, the node's older entry surfaces early and is re-pushed then.
+    Every free node thus has an entry no larger than its current one, so the
+    first entry that equals ``key[v] * N + v`` is the block's best move.
 
     ``observer(event, blocks, moved, cut)`` is called with event "pass" at
     each pass start and "move" after each committed move (before any
@@ -109,7 +116,10 @@ def fm_refine(
     initial_cut = 2 * cut_net(aux, blocks)  # W units from here on
     bound = size_bound(aux.num_nodes, eps)
     nbrs = aux.neighbors
-    n = len(blocks)
+    pairs = aux.pairs
+    volumes = aux.volumes
+    u = aux.u
+    n = aux.num_nodes  # the N of heap entries key * N + v
     push = heapq.heappush
     pop = heapq.heappop
     heapreplace = heapq.heapreplace
@@ -119,20 +129,18 @@ def fm_refine(
             observer("pass", blocks, None, cur >> 1)
         ones = sum(blocks)
         counts = [n - ones, ones]
-        key = [0] * n  # negated W gain
-        free = [False] * n  # movable and not yet moved in this pass
+        # a node's negated W gain is its internal minus its external W
+        # weight, deg_W - 2 * external, and deg_W = 2 * volume; u's is unused
+        external = [0] * n
+        for a, b, w in pairs:
+            if blocks[a] != blocks[b]:
+                external[a] += w
+                external[b] += w
+        key = [2 * (d - e) for d, e in zip(volumes, external)]
+        free = [True] * u + [False]  # movable and not yet moved in this pass
         heaps: tuple[list, list] = ([], [])
-        for v in range(aux.u):  # every node but u, the last one
-            side = blocks[v]
-            k = 0
-            for x, w in nbrs[v]:
-                if blocks[x] == side:
-                    k += w
-                else:
-                    k -= w
-            key[v] = k
-            free[v] = True
-            heaps[side].append((k, v))
+        for v in range(u):  # every node but u, the last one
+            heaps[blocks[v]].append(key[v] * n + v)
         heapq.heapify(heaps[0])
         heapq.heapify(heaps[1])
         trail: list[int] = []
@@ -146,18 +154,21 @@ def fm_refine(
                     continue
                 heap = heaps[side]
                 while heap:
-                    k, v = heap[0]
+                    entry = heap[0]
+                    v = entry % n
                     if not free[v]:
                         pop(heap)
-                    elif k != key[v]:
-                        heapreplace(heap, (key[v], v))  # surfaced before its key rose
+                        continue
+                    current = key[v] * n + v
+                    if entry != current:
+                        heapreplace(heap, current)  # surfaced before its key rose
                     else:
-                        if chosen is None or heap[0] < chosen:
-                            chosen = heap[0]
+                        if chosen is None or entry < chosen:
+                            chosen = entry
                         break
             if chosen is None:
                 break
-            k, v = chosen
+            k, v = divmod(chosen, n)
             f = blocks[v]
             stay = heaps[f]
             pop(stay)
@@ -166,7 +177,7 @@ def fm_refine(
                 if free[x]:
                     if blocks[x] == f:
                         key[x] -= 2 * w
-                        push(stay, (key[x], x))
+                        push(stay, key[x] * n + x)
                     else:
                         key[x] += 2 * w
             blocks[v] = 1 - f

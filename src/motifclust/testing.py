@@ -6,24 +6,28 @@ explicit size budget and refuses anything beyond toy scale.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Sequence
 
 from .auxiliary import AuxHypergraph
-from .conductance import conductance_direct
+from .conductance import conductance_direct, cut_net
 from .core import Hyperedge, Hypergraph
 from .errors import (
     BudgetExceededError,
     ConstraintError,
     InputError,
     ParseError,
+    RefinementError,
     UndefinedConductanceError,
 )
 from .io import ParseResult
 from .motifs import MotifPattern, classify_triple
+from .partition import MAX_PASSES, Blocks, size_bound
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,122 @@ def aux_from_hyperedges(
 ) -> AuxHypergraph:
     """An AuxHypergraph given by its (members, weight) hyperedges."""
     return AuxHypergraph(num_ball_nodes, reference_pairs(hyperedges), seed_nodes, back_map)
+
+
+# -- reference FM: the tuple-heap refinement that partition.fm_refine replaces
+
+
+def reference_fm_refine(
+    aux: AuxHypergraph,
+    blocks: Sequence[int],
+    eps: float,
+    observer: Callable | None = None,
+) -> Blocks:
+    """FM passes: move the best-gain unlocked node that keeps the size bound,
+    lock it, and roll back to the best prefix at pass end. Stops when a pass
+    brings no improvement, or after MAX_PASSES passes. Every node except u
+    may move, seeds included. Never returns a worse cut than it received; a
+    worse cut raises RefinementError.
+
+    Gains are taken on the pair graph W, where they are exactly twice the
+    cut-net gains, so the move order (max gain, ties to the smaller id) is
+    the cut-net one. Whether a move is feasible depends only on the mover's
+    block, so each block keeps its own lazy heap of (-gain, node) and a block
+    that may not give up a node is not scanned. An entry is pushed when a
+    gain rises; when a gain falls, the node's older entry surfaces early and
+    is re-pushed then. Every free node thus has an entry no larger than its
+    key, so the first entry that matches its node's key is the block's best
+    move.
+
+    ``observer(event, blocks, moved, cut)`` is called with event "pass" at
+    each pass start and "move" after each committed move (before any
+    rollback), with the cut in cut-net units; observers must not mutate
+    ``blocks``.
+    """
+    blocks = list(blocks)
+    initial_cut = 2 * cut_net(aux, blocks)  # W units from here on
+    bound = size_bound(aux.num_nodes, eps)
+    nbrs = aux.neighbors
+    n = len(blocks)
+    push = heapq.heappush
+    pop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    cur = initial_cut
+    for _ in range(MAX_PASSES):
+        if observer is not None:
+            observer("pass", blocks, None, cur >> 1)
+        ones = sum(blocks)
+        counts = [n - ones, ones]
+        key = [0] * n  # negated W gain
+        free = [False] * n  # movable and not yet moved in this pass
+        heaps: tuple[list, list] = ([], [])
+        for v in range(aux.u):  # every node but u, the last one
+            side = blocks[v]
+            k = 0
+            for x, w in nbrs[v]:
+                if blocks[x] == side:
+                    k += w
+                else:
+                    k -= w
+            key[v] = k
+            free[v] = True
+            heaps[side].append((k, v))
+        heapq.heapify(heaps[0])
+        heapq.heapify(heaps[1])
+        trail: list[int] = []
+        best_cut = cur
+        best_len = 0
+        while True:
+            chosen = None
+            for side in (0, 1):
+                # a move must respect the size bound and may not empty a block
+                if counts[1 - side] >= bound or counts[side] == 1:
+                    continue
+                heap = heaps[side]
+                while heap:
+                    k, v = heap[0]
+                    if not free[v]:
+                        pop(heap)
+                    elif k != key[v]:
+                        heapreplace(heap, (key[v], v))  # surfaced before its key rose
+                    else:
+                        if chosen is None or heap[0] < chosen:
+                            chosen = heap[0]
+                        break
+            if chosen is None:
+                break
+            k, v = chosen
+            f = blocks[v]
+            stay = heaps[f]
+            pop(stay)
+            free[v] = False
+            for x, w in nbrs[v]:
+                if free[x]:
+                    if blocks[x] == f:
+                        key[x] -= 2 * w
+                        push(stay, (key[x], x))
+                    else:
+                        key[x] += 2 * w
+            blocks[v] = 1 - f
+            counts[f] -= 1
+            counts[1 - f] += 1
+            cur += k
+            trail.append(v)
+            if observer is not None:
+                observer("move", blocks, v, cur >> 1)
+            if cur < best_cut:
+                best_cut = cur
+                best_len = len(trail)
+        for v in trail[best_len:]:
+            blocks[v] = 1 - blocks[v]
+        cur = best_cut
+        if best_len == 0:
+            break
+    if cur > initial_cut:
+        raise RefinementError(
+            f"fm_refine worsened the cut: {initial_cut >> 1} -> {cur >> 1}"
+        )
+    return blocks
 
 
 # -- reference parsers: the line-by-line ingest that io's one-pass parsers replace

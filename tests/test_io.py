@@ -1,9 +1,11 @@
+import gc
 import io as _stdio
 import random
 
 import pytest
 
 from motifclust import ClusterReport, InputError, ParseError, parse_arb_simplices, parse_edge_list, read_report, write_report
+import motifclust.io as mio
 from motifclust.io import write_benchmark_csv
 from motifclust.testing import (
     random_hypergraph,
@@ -38,6 +40,37 @@ def test_parse_edge_list_drops_small_and_errors_when_empty():
         parse_text("x\n")
     result = parse_text("x\na b\n")
     assert result.dropped_small == 1 and result.hypergraph.num_edges == 1
+
+
+def test_parse_pauses_the_collector_and_restores_its_state(monkeypatch):
+    # the hypergraph is built with the cyclic collector paused; afterwards
+    # it is on or off as the caller left it, also when the parse fails
+    seen = []
+    build = mio.Hypergraph
+
+    def hypergraph(*args):
+        seen.append(gc.isenabled())
+        return build(*args)
+
+    monkeypatch.setattr(mio, "Hypergraph", hypergraph)
+    was = gc.isenabled()
+    try:
+        for caller_collects in (True, False):
+            if caller_collects:
+                gc.enable()
+            else:
+                gc.disable()
+            assert parse_text("a b\nb c d\n").hypergraph.num_edges == 2
+            assert gc.isenabled() is caller_collects
+            with pytest.raises(InputError, match="no usable hyperedges"):
+                parse_text("x\n")
+            assert gc.isenabled() is caller_collects
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    assert seen == [False, False]
 
 
 def test_parse_edge_list_comments_commas_and_inline_dedup():

@@ -7,14 +7,24 @@ import pytest
 import motifclust.partition as mp
 from motifclust import (
     ConstraintError,
+    Hypergraph,
     InputError,
+    MotifPattern,
+    bfs_balls,
+    build_aux,
+    core_ball,
     cut_net,
     enforce_consistency,
+    enumerate_motifs,
     fm_refine,
     partition_search,
     random_feasible_partition,
 )
-from motifclust.testing import aux_from_hyperedges
+from motifclust.testing import (
+    aux_from_hyperedges,
+    reference_fm_refine,
+    synthetic_contact_edges,
+)
 
 
 def toy_aux():
@@ -163,6 +173,59 @@ def test_fm_observer_cut_tracking_and_nonempty_blocks():
         assert 0 < sum(out) < len(out)
 
 
+def _fm_trajectory(refine, aux, blocks, eps):
+    events = []
+
+    def observer(event, live, moved, cut):
+        events.append((event, moved, cut, tuple(live)))
+
+    return refine(aux, blocks, eps, observer=observer), events
+
+
+def _key_shapes(aux, blocks):
+    """Which of (a key above N in size, a negative key, two free nodes of one
+    block with equal keys) the starting keys of ``blocks`` show."""
+    n = aux.num_nodes
+    keys = {}
+    for v in range(aux.u):
+        keys[v] = sum(w if blocks[x] == blocks[v] else -w for x, w in aux.neighbors[v])
+    sides = [(blocks[v], k) for v, k in keys.items()]
+    return (
+        any(abs(k) > n for k in keys.values()),
+        any(k < 0 for k in keys.values()),
+        len(set(sides)) < len(sides),
+    )
+
+
+def test_fm_refine_matches_the_tuple_heap_reference():
+    # the int-keyed heaps make the same moves as the (key, node) tuple heaps:
+    # the same observer stream and the same result, at a size bound that
+    # binds (eps 0.03) and at looser ones, with light and heavy weights
+    rng = random.Random(61)
+    shapes = [False, False, False]
+    cases = []
+    for i in range(120):
+        ball, edges, seeds = random_hyperedges(rng)
+        scale = 1 if i % 2 else rng.choice((7, 40, 1000))  # heavy: |key| > N
+        aux = aux_from_hyperedges(
+            ball, [(m, w * scale) for m, w in sorted(edges.items())], seed_nodes=seeds
+        )
+        cases.append(aux)
+    H = Hypergraph.from_members(synthetic_contact_edges(n_edges=2000))
+    seed = H.edge(0).members
+    for pattern in (MotifPattern.I, MotifPattern.VI):
+        for ball in [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100):
+            cases.append(build_aux(enumerate_motifs(H, ball, pattern), ball, seed))
+    for aux in cases:
+        for eps in (0.03, 0.5, 1.0):
+            blocks = random_feasible_partition(aux, eps, rng)
+            shapes = [a or b for a, b in zip(shapes, _key_shapes(aux, blocks))]
+            got = _fm_trajectory(fm_refine, aux, blocks, eps)
+            want = _fm_trajectory(reference_fm_refine, aux, blocks, eps)
+            assert got == want
+    assert shapes == [True, True, True]
+
+
 def test_enforce_consistency():
     aux = aux_from_hyperedges(3, [((0, 3), 1)], seed_nodes=[0, 1])
     assert enforce_consistency(aux, [0, 0, 1, 1]) == [0, 0, 1, 1]
@@ -218,14 +281,7 @@ def test_partition_search_matches_exhaustive_toy_scale():
     # stochastic acceptance bound: >= 95% optimal over 100 random instances
     # built from real motif collections; eps sampled up to 1.0 so extreme
     # block sizes stay reachable
-    from motifclust import (
-        MotifPattern,
-        build_aux,
-        count_motifs,
-        enumerate_motifs,
-        motif_conductance,
-        motif_degrees,
-    )
+    from motifclust import count_motifs, motif_conductance, motif_degrees
     from motifclust.testing import random_ball_nodes, random_hypergraph
 
     rng = random.Random(9)
