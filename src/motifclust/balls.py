@@ -51,15 +51,19 @@ def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
     n = H.n
     if n == 0:
         raise InputError("core decomposition of an empty hypergraph")
+    members = H.members
     alive = bytearray([1]) * n
-    edge_alive = bytearray([1]) * H.num_edges
-    # pair_count[(u, w)] = number of surviving hyperedges containing both
-    pair_count: dict[tuple[int, int], int] = {}
-    for e in H.edges:
-        for pair in combinations(e.members, 2):
-            pair_count[pair] = pair_count.get(pair, 0) + 1
+    edge_alive = bytearray([1]) * len(members)
+    # pair_count[a * n + b] (a < b) = number of surviving hyperedges containing both
+    pair_count: dict[int, int] = {}
+    get = pair_count.get
+    for mem in members:
+        for a, b in combinations(mem, 2):
+            key = a * n + b
+            pair_count[key] = get(key, 0) + 1
     nbr_count = [0] * n
-    for a, b in pair_count:
+    for key in pair_count:
+        a, b = divmod(key, n)
         nbr_count[a] += 1
         nbr_count[b] += 1
 
@@ -79,12 +83,12 @@ def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
                 if not edge_alive[ei]:
                     continue
                 edge_alive[ei] = 0
-                mem = H.edges[ei].members
-                for pair in combinations(mem, 2):
-                    left = pair_count[pair] - 1
-                    pair_count[pair] = left
+                for a, b in combinations(members[ei], 2):
+                    key = a * n + b
+                    left = pair_count[key] - 1
+                    pair_count[key] = left
                     if left == 0:
-                        for x in pair:
+                        for x in (a, b):
                             if alive[x]:
                                 nbr_count[x] -= 1
                                 if nbr_count[x] < k and x not in queued:

@@ -1,19 +1,22 @@
 """Immutable hypergraph with an incidence index and one layered BFS.
 
-Nodes are dense integers 0..n-1. Hyperedges are canonical strictly-increasing
-member tuples with at least two distinct members, which ``Hyperedge`` checks
-once, when it is built; ``Hypergraph`` checks only what one hyperedge cannot
-show: every id is below n and no two hyperedges share a member set (ingestion
-merges duplicates before construction). Everything downstream (ball
-selection, motif enumeration, partitioning) reads this object without
-mutating it. ``Hypergraph.bfs`` is the one traversal: connected
-components, closed neighborhoods and the BFS balls of phase one all read its
-layers.
+Nodes are dense integers 0..n-1. ``Hypergraph`` holds its hyperedges as one
+tuple of canonical member tuples, ``members``: each strictly increasing, with
+at least two members, all non-negative ints below n, and no two alike
+(ingestion merges duplicates before construction). Its constructor checks
+every hyperedge once, in one loop over them; it takes a canonical tuple as
+is and canonicalises any other member collection first. ``Hyperedge`` is the
+public view of one hyperedge, built on demand by ``edge(i)`` and ``edges``;
+no hot path reads it. Everything downstream (ball selection, motif
+enumeration, partitioning) reads this object without mutating it.
+``Hypergraph.bfs`` is the one traversal: connected components, closed
+neighborhoods and the BFS balls of phase one all read its layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +60,23 @@ class Hyperedge:
         return v in self.members
 
 
+def _incidence(n: int, members: list[Members]) -> list[list[int]] | None:
+    """Each node's incident hyperedge indices, in one pass that checks every
+    member tuple once; None when one is not canonical (fewer than 2 members,
+    not strictly increasing) or names a node outside 0..n-1."""
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for idx, mem in enumerate(members):
+        if len(mem) < 2:
+            return None
+        last = -1
+        for v in mem:
+            if not last < v < n:
+                return None
+            incidence[v].append(idx)
+            last = v
+    return incidence
+
+
 class Hypergraph:
     """Immutable node/hyperedge store with an incidence index.
 
@@ -68,24 +88,34 @@ class Hypergraph:
         if n < 0:
             raise InputError(f"node count must be >= 0, got {n}")
         self._n = n
-        self._edges: tuple[Hyperedge, ...] = tuple(
-            e if isinstance(e, Hyperedge) else Hyperedge.of(e) for e in edges
-        )
-        members = [e.members for e in self._edges]
-        if max(map(itemgetter(-1), members), default=-1) >= n:
-            bad = next(mem for mem in members if mem[-1] >= n)
-            raise InputError(f"hyperedge {bad!r} references node >= n={n}")
+        members = [
+            mem if type(mem) is tuple
+            else mem.members if isinstance(mem, Hyperedge)
+            else canonical_members(mem)
+            for mem in edges
+        ]
+        incidence = None
+        if {int}.issuperset(map(type, chain.from_iterable(members))):
+            incidence = _incidence(n, members)
+        if incidence is None:
+            # some tuple is not canonical (a member that is no int, such as
+            # a float or a bool, counts too), or names a node outside 0..n-1
+            members = [canonical_members(mem) for mem in members]
+            for mem in members:
+                if mem[0] < 0:
+                    raise InputError(f"negative node id in hyperedge {mem!r}")
+            for mem in members:
+                if mem[-1] >= n:
+                    raise InputError(f"hyperedge {mem!r} references node >= n={n}")
+            incidence = _incidence(n, members)
         if len(set(members)) < len(members):
             seen: set[Members] = set()
             for mem in members:
                 if mem in seen:
                     raise InputError(f"duplicate hyperedge {mem!r}; merge before construction")
                 seen.add(mem)
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        for idx, mem in enumerate(members):
-            for v in mem:
-                incidence[v].append(idx)
-        self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
+        self._members: tuple[Members, ...] = tuple(members)
+        self._incidence: tuple[tuple[int, ...], ...] = tuple(map(tuple, incidence))
         self._small_index: tuple[frozenset, frozenset, dict] | None = None
 
     @classmethod
@@ -93,10 +123,10 @@ class Hypergraph:
         cls, member_lists: Iterable[Iterable[int]], n: int | None = None
     ) -> "Hypergraph":
         """Build from raw member lists; infers n = max id + 1 unless given."""
-        edges = [Hyperedge.of(m) for m in member_lists]
+        members = [canonical_members(m) for m in member_lists]
         if n is None:
-            n = max((e.members[-1] for e in edges), default=-1) + 1
-        return cls(n, edges)
+            n = max(map(itemgetter(-1), members), default=-1) + 1
+        return cls(n, members)
 
     # -- basic accessors -------------------------------------------------
 
@@ -106,16 +136,22 @@ class Hypergraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._members)
+
+    @property
+    def members(self) -> tuple[Members, ...]:
+        """Every hyperedge's canonical member tuple, by hyperedge index."""
+        return self._members
 
     @property
     def edges(self) -> tuple[Hyperedge, ...]:
-        return self._edges
+        """A ``Hyperedge`` view of every hyperedge, built on each call."""
+        return tuple(map(Hyperedge, self._members))
 
     def edge(self, i: int) -> Hyperedge:
-        if not 0 <= i < len(self._edges):
-            raise InputError(f"hyperedge index {i} out of range [0, {len(self._edges)})")
-        return self._edges[i]
+        if not 0 <= i < len(self._members):
+            raise InputError(f"hyperedge index {i} out of range [0, {len(self._members)})")
+        return Hyperedge(self._members[i])
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         self._check_node(v)
@@ -135,7 +171,7 @@ class Hypergraph:
         if mem[0] < 0 or mem[-1] >= self._n:
             return None
         for ei in self._incidence[mem[0]]:
-            if self._edges[ei].members == mem:
+            if self._members[ei] == mem:
                 return ei
         return None
 
@@ -158,7 +194,8 @@ class Hypergraph:
             self._check_node(v)
         allowed = None if within is None else frozenset(within)
         visited = set(layer)
-        edge_done = bytearray(len(self._edges))
+        edge_members = self._members
+        edge_done = bytearray(len(edge_members))
         while layer:
             yield layer
             reached: set[int] = set()
@@ -167,7 +204,7 @@ class Hypergraph:
                     if edge_done[ei]:
                         continue
                     edge_done[ei] = 1
-                    members = self._edges[ei].members
+                    members = edge_members[ei]
                     if allowed is None or allowed.issuperset(members):
                         reached.update(members)
             reached -= visited
@@ -202,14 +239,14 @@ class Hypergraph:
             dyads: set[tuple[int, int]] = set()
             triads: set[tuple[int, int, int]] = set()
             dyadic_adj: dict[int, set[int]] = {}
-            for e in self._edges:
-                if len(e.members) == 2:
-                    a, b = e.members
-                    dyads.add(e.members)
+            for mem in self._members:
+                if len(mem) == 2:
+                    a, b = mem
+                    dyads.add(mem)
                     dyadic_adj.setdefault(a, set()).add(b)
                     dyadic_adj.setdefault(b, set()).add(a)
-                elif len(e.members) == 3:
-                    triads.add(e.members)
+                elif len(mem) == 3:
+                    triads.add(mem)
             adj = {v: frozenset(s) for v, s in dyadic_adj.items()}
             idx = (frozenset(dyads), frozenset(triads), adj)
             self._small_index = idx

@@ -5,11 +5,18 @@ Cleaning rules, applied identically by both parsers: repeated labels inside a
 hyperedge are deduplicated, hyperedges with fewer than two distinct nodes are
 dropped (counted), and duplicate hyperedges merge into one (counted). A
 negative ARB size is a ParseError. Labels are mapped to dense ids in order of
-first appearance; the label list maps them back. Each file is read and
-tokenised in one pass (a bad token re-reads it line by line, only to name the
-line); ``_build_result`` canonicalises each hyperedge once, ``Hyperedge``
-validates it once, and ``Hypergraph`` checks node bounds and uniqueness.
-Reports serialize as canonical sorted-key JSON so golden files are byte-stable.
+first appearance in a kept hyperedge; the label list maps them back.
+
+Where each check runs: each file is read and tokenised in one pass (a bad
+token re-reads it line by line, only to name the line). Labels are mapped to
+ids once over the whole token list; ARB labels are mapped as text and each
+distinct spelling is converted to int once. ``_build_result`` cuts the id
+list into hyperedges and canonicalises each once; only when a hyperedge is
+dropped does it renumber the kept ones. ``Hypergraph`` then checks every
+member tuple once: at least two members, strictly increasing, within 0..n-1,
+and no two alike. The cyclic garbage collector is paused from tokenising to
+the built hypergraph. Reports serialize as canonical sorted-key JSON so
+golden files are byte-stable.
 """
 
 from __future__ import annotations
@@ -18,11 +25,13 @@ import csv
 import gc
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, pairwise
+from itertools import accumulate, chain, compress
+from typing import NoReturn
 
-from .core import Hypergraph, Hyperedge
+from .core import Hypergraph
 from .errors import InputError, ParseError
 
 log = logging.getLogger(__name__)
@@ -39,38 +48,61 @@ class ParseResult:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
-def _build_result(chunks: list, source: str) -> ParseResult:
-    """Clean raw label chunks, one per hyperedge, into a ParseResult.
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it was running, and restore it.
 
-    Ids follow the first appearance of a label in a kept chunk, so a label
-    that occurs only in dropped hyperedges gets none. Each kept chunk is
-    canonicalised here once; ``Hyperedge`` validates it once. The cyclic
-    garbage collector is paused meanwhile, if it was running: the build
-    makes a few container objects per hyperedge, none of them in a cycle,
-    and the collector would otherwise rescan the growing heap many times.
+    A parse makes a few container objects per hyperedge, none of them in a
+    cycle, and the collector would otherwise rescan the growing heap many
+    times.
     """
     collecting = gc.isenabled()
     if collecting:
         gc.disable()
     try:
-        kept = [len(set(chunk)) > 1 for chunk in chunks]
-        labels = list(dict.fromkeys(chain.from_iterable(compress(chunks, kept))))
-        to_id = dict(zip(labels, range(len(labels)))).__getitem__
-        keys = [tuple(sorted(set(map(to_id, chunk)))) for chunk in compress(chunks, kept)]
-        unique = dict.fromkeys(keys)
-        if not unique:
-            raise InputError(f"no usable hyperedges in {source} after cleaning")
-        dropped = len(chunks) - len(keys)
-        merged = len(keys) - len(unique)
-        if dropped:
-            log.warning("%s: dropped %d hyperedges with < 2 distinct nodes", source, dropped)
-        if merged:
-            log.warning("%s: merged %d duplicate hyperedges", source, merged)
-        hypergraph = Hypergraph(len(labels), list(map(Hyperedge, unique)))
-        return ParseResult(hypergraph, labels, dropped, merged)
+        yield
     finally:
         if collecting:
             gc.enable()
+
+
+def _dense_ids(tokens: list) -> tuple[list, list[int]]:
+    """The distinct tokens in order of first appearance, and each token's
+    index among them."""
+    labels = list(dict.fromkeys(tokens))
+    return labels, list(map(dict(zip(labels, range(len(labels)))).__getitem__, tokens))
+
+
+def _build_result(labels: list, ids: list[int], sizes, source: str) -> ParseResult:
+    """Cut a flat id sequence into hyperedges of the given sizes and clean
+    them into a ParseResult; ``labels[i]`` is the label of id i.
+
+    Each hyperedge is a sorted slice of the id list, made once. Ids follow
+    the first appearance of a label in a kept hyperedge, so a label that
+    occurs only in dropped hyperedges gets none: when a hyperedge is
+    dropped, the kept ones are renumbered by first appearance.
+    ``Hypergraph`` validates each canonical member tuple once.
+    """
+    starts = list(accumulate(sizes, initial=0))
+    keys = [tuple(sorted(set(ids[i:j]))) for i, j in zip(starts, starts[1:])]
+    kept = [len(key) > 1 for key in keys]
+    dropped = kept.count(False)
+    if dropped:
+        firsts = dict.fromkeys(
+            chain.from_iterable(ids[i:j] for i, j in compress(zip(starts, starts[1:]), kept))
+        )
+        renumber = dict(zip(firsts, range(len(firsts)))).__getitem__
+        labels = [labels[i] for i in firsts]
+        keys = [tuple(sorted(map(renumber, key))) for key in compress(keys, kept)]
+    unique = dict.fromkeys(keys)
+    if not unique:
+        raise InputError(f"no usable hyperedges in {source} after cleaning")
+    merged = len(keys) - len(unique)
+    if dropped:
+        log.warning("%s: dropped %d hyperedges with < 2 distinct nodes", source, dropped)
+    if merged:
+        log.warning("%s: merged %d duplicate hyperedges", source, merged)
+    return ParseResult(Hypergraph(len(labels), list(unique)), labels, dropped, merged)
 
 
 def _tokens(text: str) -> list[str]:
@@ -93,25 +125,17 @@ def parse_edge_list(source) -> ParseResult:
             raise ParseError(f"not valid UTF-8: {exc}", path=name) from exc
         except OSError as exc:
             raise ParseError(f"cannot read: {exc}", path=name) from exc
-    texts = [line.strip() for line in lines]
-    return _build_result([_tokens(t) for t in texts if t and t[0] != "#"], name)
+    with _collector_paused():
+        texts = [line.strip() for line in lines]
+        chunks = [_tokens(t) for t in texts if t and t[0] != "#"]
+        labels, ids = _dense_ids(list(chain.from_iterable(chunks)))
+        return _build_result(labels, ids, list(map(len, chunks)), name)
 
 
-def _read_ints(path: str, sizes: bool = False) -> tuple[int, ...]:
-    """Every integer token of a file, read and tokenised in one pass.
-
-    With ``sizes`` a negative value is an error too. Any error re-reads the
-    file line by line to name the first bad token and its line.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = tuple(map(int, _tokens(fh.read())))
-        if not sizes or min(values, default=0) >= 0:
-            return values
-    except OSError as exc:
-        raise ParseError(f"cannot read: {exc}", path=path) from exc
-    except ValueError:  # a token that is no integer, or bytes that are no UTF-8
-        pass
+def _raise_first_bad_token(path: str, sizes: bool = False) -> NoReturn:
+    """Re-read a file that failed to parse, line by line, and raise the
+    ParseError that names its first bad token (with ``sizes``, a negative
+    value is one) and that token's line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -130,21 +154,57 @@ def _read_ints(path: str, sizes: bool = False) -> tuple[int, ...]:
     raise ParseError("changed while being read", path=path)
 
 
+def _read_sizes(path: str) -> tuple[int, ...]:
+    """Every token of a file as a non-negative int, read and tokenised in
+    one pass."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = tuple(map(int, _tokens(fh.read())))
+        if min(values, default=0) >= 0:
+            return values
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc}", path=path) from exc
+    except ValueError:  # a token that is no integer, or bytes that are no UTF-8
+        pass
+    _raise_first_bad_token(path, sizes=True)
+
+
+def _read_labels(path: str) -> tuple[list[int], list[int]]:
+    """The distinct integer labels of a file, in order of first appearance,
+    and each token's index among them, from one read and tokenising pass.
+
+    Tokens are mapped to ids as text, so only the distinct spellings are
+    converted to int; when two of them spell one integer (say 7 and 07),
+    every token is converted and mapped again.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = _tokens(fh.read())
+        spellings, ids = _dense_ids(tokens)
+        labels = list(map(int, spellings))
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc}", path=path) from exc
+    except ValueError:  # a token that is no integer, or bytes that are no UTF-8
+        _raise_first_bad_token(path)
+    if len(set(labels)) < len(labels):
+        labels, ids = _dense_ids(list(map(int, tokens)))
+    return labels, ids
+
+
 def parse_arb_simplices(nverts_path, simplices_path) -> ParseResult:
     """ARB-style pair of files: hyperedge sizes, plus a flat node-id list
     consumed in size-sized chunks. Timestamps files are ignored entirely."""
-    sizes = _read_ints(str(nverts_path), sizes=True)
-    flat = _read_ints(str(simplices_path))
-    expected = sum(sizes)
-    if expected != len(flat):
-        raise ParseError(
-            f"simplices length mismatch: nverts sums to {expected}, "
-            f"found {len(flat)} node entries",
-            path=str(simplices_path),
-        )
-    chunks = [flat[i:j] for i, j in pairwise(accumulate(sizes, initial=0))]
-    del flat  # not needed while the hypergraph is built; freeing it lowers the peak heap
-    return _build_result(chunks, str(nverts_path))
+    with _collector_paused():
+        sizes = _read_sizes(str(nverts_path))
+        labels, ids = _read_labels(str(simplices_path))
+        expected = sum(sizes)
+        if expected != len(ids):
+            raise ParseError(
+                f"simplices length mismatch: nverts sums to {expected}, "
+                f"found {len(ids)} node entries",
+                path=str(simplices_path),
+            )
+        return _build_result(labels, ids, sizes, str(nverts_path))
 
 
 # -- cluster reports ---------------------------------------------------------

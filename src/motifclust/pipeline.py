@@ -197,7 +197,7 @@ def run_local_clustering(
             "run_local_clustering needs exactly one seed; use the bench harness for random:k"
         )
     seed_index = seeds[0]
-    seed_members = H.edge(seed_index).members
+    seed_members = H.members[seed_index]
     times["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -19,13 +19,12 @@ from motifclust import (
     motif_degrees,
 )
 from motifclust.testing import (
-    aux_from_hyperedges,
     brute_motifs,
     random_ball_nodes,
     random_hypergraph,
-    reference_aux_hyperedges,
     synthetic_contact_edges,
 )
+from references import aux_from_hyperedges, reference_aux_hyperedges
 
 
 def test_build_aux_toy():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from motifclust import Hypergraph, InputError, bfs_balls, core_ball, nbr_core_decomposition
-from motifclust.testing import brute_nbr_core_numbers, random_hypergraph
+from motifclust.testing import brute_nbr_core_numbers, random_hypergraph, synthetic_contact_edges
+from references import reference_nbr_core_decomposition
 
 
 def test_core_numbers_single_triadic_edge():
@@ -39,6 +40,20 @@ def test_core_numbers_match_brute_oracle():
         H = random_hypergraph(rng, rng.randint(3, 9), 0.3, 0.12, big_edge_p=0.03)
         got = list(nbr_core_decomposition(H).core_number)
         assert got == brute_nbr_core_numbers(H)
+
+
+def test_core_decomposition_matches_the_tuple_keyed_reference_beyond_the_oracle():
+    # past the brute oracle's 12 nodes, the pair counts keyed a * n + b must
+    # peel exactly as the reference's counts keyed (a, b) do
+    rng = random.Random(314)
+    graphs = [
+        random_hypergraph(rng, rng.randint(13, 30), 0.12, 0.01, big_edge_p=0.0005)
+        for _ in range(12)
+    ]
+    graphs += [Hypergraph.from_members(synthetic_contact_edges(seed, n_edges=2000)) for seed in (1, 2, 3)]
+    for H in graphs:
+        assert H.n > 12
+        assert nbr_core_decomposition(H) == reference_nbr_core_decomposition(H)
 
 
 def test_core_ball_accepts_first_component():

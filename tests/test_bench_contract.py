@@ -51,6 +51,7 @@ def test_direct_calls_of_the_benchmark(tmp_path):
     alpha, min_ball = 3, 20
     for edge in (0, H.num_edges - 1):
         members = H.edge(edge).members
+        assert members == H.members[edge]
         k = max(min_ball, len(members))
         balls = [core_ball(H, members, k, decomposition)]
         balls += bfs_balls(H, members, alpha, min_ball)

@@ -87,6 +87,38 @@ def test_edge_is_range_checked():
             H.edge(i)
 
 
+def test_constructor_canonicalises_raw_members_and_keeps_canonical_ones():
+    # unsorted or repeating raw members are canonicalised, not trusted
+    assert Hypergraph(3, [(2, 0), [1, 1, 0]]).members == ((0, 2), (0, 1))
+    # a passed-in Hyperedge and a canonical tuple are kept as they are
+    H = Hypergraph(4, [Hyperedge((1, 3)), (0, 1, 2), iter([3, 0])])
+    assert H.members == ((1, 3), (0, 1, 2), (0, 3))
+    # members that are no ints are converted, as canonical_members does
+    H = Hypergraph(3, [(0.0, 2.0), (False, True)])
+    assert H.members == ((0, 2), (0, 1))
+    assert all(type(v) is int for mem in H.members for v in mem)
+    for edges, message in [
+        ([(0,)], "at least 2 distinct"),
+        ([(1, 1)], "at least 2 distinct"),
+        ([(0, 1), (-1, 2)], "negative node id in hyperedge \\(-1, 2\\)"),
+        ([(2, -1)], "negative node id"),
+        ([(0, 1), (1, 3)], "references node >= n=3"),
+        ([(0, 1), (1, 0)], "duplicate hyperedge \\(0, 1\\)"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            Hypergraph(3, edges)
+
+
+def test_edge_views_equal_the_member_tuples():
+    H = Hypergraph.from_members(synthetic_contact_edges(n_edges=300, n_nodes=44, n_groups=2))
+    edges = H.edges
+    assert all(type(e) is Hyperedge for e in edges)
+    assert tuple(e.members for e in edges) == H.members
+    for i in (0, 1, H.num_edges - 1):
+        assert H.edge(i) == Hyperedge(H.members[i])
+        assert H.edge(i).members is H.members[i]
+
+
 def test_duplicate_edges_rejected_at_construction():
     with pytest.raises(InputError):
         Hypergraph(3, [[0, 1], [1, 0]])

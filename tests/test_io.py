@@ -1,18 +1,15 @@
 import gc
 import io as _stdio
 import random
+from itertools import accumulate
 
 import pytest
 
 from motifclust import ClusterReport, InputError, ParseError, parse_arb_simplices, parse_edge_list, read_report, write_report
 import motifclust.io as mio
 from motifclust.io import write_benchmark_csv
-from motifclust.testing import (
-    random_hypergraph,
-    reference_parse_arb_simplices,
-    reference_parse_edge_list,
-    write_edge_list,
-)
+from motifclust.testing import random_hypergraph, write_edge_list
+from references import reference_parse_arb_simplices, reference_parse_edge_list
 
 
 def parse_text(text):
@@ -42,17 +39,25 @@ def test_parse_edge_list_drops_small_and_errors_when_empty():
     assert result.dropped_small == 1 and result.hypergraph.num_edges == 1
 
 
-def test_parse_pauses_the_collector_and_restores_its_state(monkeypatch):
-    # the hypergraph is built with the cyclic collector paused; afterwards
-    # it is on or off as the caller left it, also when the parse fails
+def test_parse_pauses_the_collector_and_restores_its_state(monkeypatch, tmp_path):
+    # both parsers tokenise, cut the tokens into hyperedges and build the
+    # hypergraph with the cyclic collector paused; afterwards it is on or
+    # off as the caller left it, also when the parse fails
     seen = []
-    build = mio.Hypergraph
 
-    def hypergraph(*args):
-        seen.append(gc.isenabled())
-        return build(*args)
+    def spy(name):
+        real = getattr(mio, name)
 
-    monkeypatch.setattr(mio, "Hypergraph", hypergraph)
+        def call(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mio, name, call)
+
+    for name in ("_tokens", "_build_result", "Hypergraph"):
+        spy(name)
+    nverts, simplices = _arb_files(tmp_path, "2\n3\n", "1 2\n2 3 4\n")
+    bad_nverts, bad_simplices = _arb_files(tmp_path / "x", "2\n", "1 x\n")
     was = gc.isenabled()
     try:
         for caller_collects in (True, False):
@@ -62,15 +67,21 @@ def test_parse_pauses_the_collector_and_restores_its_state(monkeypatch):
                 gc.disable()
             assert parse_text("a b\nb c d\n").hypergraph.num_edges == 2
             assert gc.isenabled() is caller_collects
+            assert parse_arb_simplices(nverts, simplices).hypergraph.num_edges == 2
+            assert gc.isenabled() is caller_collects
             with pytest.raises(InputError, match="no usable hyperedges"):
                 parse_text("x\n")
+            assert gc.isenabled() is caller_collects
+            with pytest.raises(ParseError, match="expected an integer"):
+                parse_arb_simplices(bad_nverts, bad_simplices)
             assert gc.isenabled() is caller_collects
     finally:
         if was:
             gc.enable()
         else:
             gc.disable()
-    assert seen == [False, False]
+    assert {name for name, _ in seen} == {"_tokens", "_build_result", "Hypergraph"}
+    assert [name for name, enabled in seen if enabled] == []
 
 
 def test_parse_edge_list_comments_commas_and_inline_dedup():
@@ -138,6 +149,7 @@ def test_parse_arb_empty(tmp_path):
 
 
 def _arb_files(tmp_path, nverts_text, simplices_text):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     nverts = tmp_path / "d-nverts.txt"
     simplices = tmp_path / "d-simplices.txt"
     nverts.write_text(nverts_text)
@@ -187,10 +199,19 @@ def test_parse_arb_reports_bad_utf8_as_the_reference_does(tmp_path):
 _SEPARATORS = [" ", "  ", "\t", ",", ", ", " ,\t", "\n", "\r\n", "\r", "\n\n", "\u00a0", "\u2003", "\x0c", "\x1c"]
 
 
+def _spell(rng, value):
+    """Mostly the plain spelling of an int; sometimes another one of it, such
+    as +7, 07 or 0_7."""
+    if rng.random() < 0.95:
+        return str(value)
+    sign = "-" if value < 0 else rng.choice(["", "+"])
+    return sign + rng.choice(["0", "00", "0_"]) + str(abs(value))
+
+
 def _random_arb_texts(rng):
     sizes = [rng.randint(0, 5) for _ in range(rng.randint(0, 12))]
     pool = [rng.randint(-4, 9) for _ in range(rng.randint(1, 8))]
-    entries = [str(rng.choice(pool)) for _ in range(sum(sizes))]
+    entries = [_spell(rng, rng.choice(pool)) for _ in range(sum(sizes))]
     size_tokens = [str(k) for k in sizes]
     if rng.random() < 0.1:  # off-by-one entry count
         entries = entries[:-1] if entries and rng.random() < 0.5 else entries + ["1"]
@@ -238,11 +259,42 @@ def _outcome(parse, *args):
     )
 
 
+def _label_fates(chunks):
+    """Whether some label first appears in a dropped hyperedge and also in a
+    kept one, and whether some label appears only in dropped ones."""
+    seen, first_dropped, kept = set(), set(), set()
+    for chunk in chunks:
+        if len(set(chunk)) < 2:
+            first_dropped.update(set(chunk) - seen)
+        else:
+            kept.update(chunk)
+        seen.update(chunk)
+    return bool(first_dropped & kept), bool(first_dropped - kept)
+
+
+def _count(compared, expected, chunks):
+    compared["errors"] += expected[0] == "error"
+    if expected[0] != "error":
+        compared["drops"] += expected[4] > 0
+        compared["merges"] += expected[5] > 0
+        first_dropped, only_dropped = _label_fates(chunks)
+        compared["first seen in a dropped hyperedge"] += first_dropped
+        compared["seen only in dropped hyperedges"] += only_dropped
+
+
 def test_parsers_match_the_line_by_line_reference_randomized(tmp_path):
+    # a label whose first appearance is in a dropped hyperedge takes its id
+    # from its first kept appearance, and one seen only in dropped
+    # hyperedges gets none; both send the parser to its renumbering path.
+    # An ARB label with two spellings (2 and +2) makes it convert every token
     rng = random.Random(2026)
     nverts, simplices = tmp_path / "r-nverts.txt", tmp_path / "r-simplices.txt"
     edge_list = tmp_path / "r.txt"
-    compared = {"arb": 0, "edge list": 0, "errors": 0, "drops": 0, "merges": 0}
+    compared = dict.fromkeys(
+        ["arb", "edge list", "errors", "drops", "merges", "first seen in a dropped hyperedge",
+         "seen only in dropped hyperedges", "two spellings"],
+        0,
+    )
     while compared["arb"] < 300:
         nverts_text, simplices_text = _random_arb_texts(rng)
         if any(t.startswith("-") for t in nverts_text.replace(",", " ").split()):
@@ -252,18 +304,23 @@ def test_parsers_match_the_line_by_line_reference_randomized(tmp_path):
         expected = _outcome(reference_parse_arb_simplices, nverts, simplices)
         assert _outcome(parse_arb_simplices, nverts, simplices) == expected
         compared["arb"] += 1
-        compared["errors"] += expected[0] == "error"
-        compared["drops"] += expected[0] != "error" and expected[4] > 0
-        compared["merges"] += expected[0] != "error" and expected[5] > 0
+        chunks = []
+        if expected[0] != "error":
+            tokens = mio._tokens(simplices_text)
+            entries = list(map(int, tokens))
+            starts = list(accumulate(map(int, mio._tokens(nverts_text)), initial=0))
+            chunks = [entries[i:j] for i, j in zip(starts, starts[1:])]
+            compared["two spellings"] += len(set(entries)) < len(set(tokens))
+        _count(compared, expected, chunks)
     while compared["edge list"] < 300:
-        edge_list.write_text(_random_edge_list_text(rng), encoding="utf-8", newline="")
+        text = _random_edge_list_text(rng)
+        edge_list.write_text(text, encoding="utf-8", newline="")
         expected = _outcome(reference_parse_edge_list, edge_list)
         assert _outcome(parse_edge_list, edge_list) == expected
         compared["edge list"] += 1
-        compared["errors"] += expected[0] == "error"
-        compared["drops"] += expected[0] != "error" and expected[4] > 0
-        compared["merges"] += expected[0] != "error" and expected[5] > 0
-    # the draw reaches every branch: errors, drops and merges alike
+        lines = (line.strip() for line in text.splitlines())
+        _count(compared, expected, [mio._tokens(t) for t in lines if t and t[0] != "#"])
+    # the draw reaches every branch: errors, drops, merges and renumbering alike
     assert min(compared.values()) >= 30, compared
 
 

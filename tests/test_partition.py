@@ -20,11 +20,8 @@ from motifclust import (
     partition_search,
     random_feasible_partition,
 )
-from motifclust.testing import (
-    aux_from_hyperedges,
-    reference_fm_refine,
-    synthetic_contact_edges,
-)
+from motifclust.testing import synthetic_contact_edges
+from references import aux_from_hyperedges, reference_fm_refine
 
 
 def toy_aux():
