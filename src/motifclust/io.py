@@ -9,10 +9,9 @@ first appearance in a kept hyperedge; the label list maps them back.
 
 Where each check runs: each file is read and tokenised in one pass (a bad
 token re-reads it line by line, only to name the line). Labels are mapped to
-ids once over the whole token list; ARB labels are mapped as text and each
-distinct spelling is converted to int once. ``_build_result`` cuts the id
-list into hyperedges and canonicalises each once; only when a hyperedge is
-dropped does it renumber the kept ones. ``Hypergraph`` then checks every
+ids once over the whole token list. ``_build_result`` cuts the id list into
+hyperedges and canonicalises each once; only when a hyperedge is dropped
+does it renumber the kept ones. ``Hypergraph`` then checks every
 member tuple once: at least two members, strictly increasing, within 0..n-1,
 and no two alike. The cyclic garbage collector is paused from tokenising to
 the built hypergraph. Reports serialize as canonical sorted-key JSON so
@@ -173,22 +172,21 @@ def _read_labels(path: str) -> tuple[list[int], list[int]]:
     """The distinct integer labels of a file, in order of first appearance,
     and each token's index among them, from one read and tokenising pass.
 
-    Tokens are mapped to ids as text, so only the distinct spellings are
-    converted to int; when two of them spell one integer (say 7 and 07),
-    every token is converted and mapped again.
+    Each distinct spelling is converted to int once and every token looks
+    its int up, so the tokens share one int object per spelling instead of
+    holding one each; spellings of one integer (7, 07) map to one label.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = _tokens(fh.read())
-        spellings, ids = _dense_ids(tokens)
-        labels = list(map(int, spellings))
+        spellings = dict.fromkeys(tokens)
+        values = dict(zip(spellings, map(int, spellings)))
+        return _dense_ids(list(map(values.__getitem__, tokens)))
     except OSError as exc:
         raise ParseError(f"cannot read: {exc}", path=path) from exc
     except ValueError:  # a token that is no integer, or bytes that are no UTF-8
-        _raise_first_bad_token(path)
-    if len(set(labels)) < len(labels):
-        labels, ids = _dense_ids(list(map(int, tokens)))
-    return labels, ids
+        pass
+    _raise_first_bad_token(path)
 
 
 def parse_arb_simplices(nverts_path, simplices_path) -> ParseResult:

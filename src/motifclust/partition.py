@@ -6,8 +6,9 @@ W, with one lazy max-gain heap per block, restarted under randomized
 imbalance. A heap entry is one int, ``key * N + v`` for node v with negated
 gain ``key`` among N aux nodes; as 0 <= v < N, the ints order exactly as
 (key, v) tuples would, so the moves are those of a tuple heap
-(``testing.reference_fm_refine``) without a tuple per entry. Block 0 is the
-cluster side (holds the seed nodes); block 1 holds the contracted node u.
+(``reference_fm_refine`` in ``tests/references.py``) without a tuple per
+entry. Block 0 is the cluster side (holds the seed nodes); block 1 holds the
+contracted node u.
 The contracted node never moves; every other node, seeds included, is free
 during refinement, and seeds are moved back to block 0 afterwards. States
 are scored with ``conductance.motif_conductance`` over the aux's own motif
