@@ -42,9 +42,9 @@ class ConductanceResult:
 def _check_blocks(aux: AuxHypergraph, blocks: Sequence[int]) -> None:
     if len(blocks) != aux.num_nodes:
         raise InputError(f"partition covers {len(blocks)} nodes, aux has {aux.num_nodes}")
-    ones = sum(blocks)
     if any(b not in (0, 1) for b in blocks):
         raise InputError("block values must be 0 or 1")
+    ones = sum(blocks)
     if ones == 0 or ones == len(blocks):
         raise ConstraintError("both blocks must be nonempty")
 

@@ -10,9 +10,14 @@ gain ``key`` among N aux nodes; as 0 <= v < N, the ints order exactly as
 entry. Block 0 is the cluster side (holds the seed nodes); block 1 holds the
 contracted node u.
 The contracted node never moves; every other node, seeds included, is free
-during refinement, and seeds are moved back to block 0 afterwards. States
-are scored with ``conductance.motif_conductance`` over the aux's own motif
-volumes.
+during refinement, and seeds are moved back to block 0 afterwards.
+
+States are scored where FM already tracks them: ``fm_refine`` keeps the
+cut, the block sizes, block 0's motif volume (from ``aux.volumes``) and the
+count of seeds outside block 0, and offers every state with no displaced
+seed to the search's ``_Best`` record. ``_Best`` scores it with
+``conductance.motif_conductance`` and holds the search's one tie order:
+smaller phi, then smaller cut-net, then smaller block 0, then first found.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ def fm_refine(
     blocks: Sequence[int],
     eps: float,
     observer: Callable | None = None,
+    best: _Best | None = None,
 ) -> Blocks:
     """FM passes: move the best-gain unlocked node that keeps the size bound,
     lock it, and roll back to the best prefix at pass end. Stops when a pass
@@ -108,6 +114,13 @@ def fm_refine(
     Every free node thus has an entry no larger than its current one, so the
     first entry that equals ``key[v] * N + v`` is the block's best move.
 
+    Beside the cut and the block sizes, each pass keeps block 0's motif
+    volume and the count of seeds outside block 0: counted in the pass-start
+    sweep, updated on each committed move, and recounted after a rollback
+    by the next pass start. ``best``, a search's ``_Best`` record, is offered
+    every visited state with no displaced seed, at each pass start and after
+    each committed move; the refinement itself never depends on it.
+
     ``observer(event, blocks, moved, cut)`` is called with event "pass" at
     each pass start and "move" after each committed move (before any
     rollback), with the cut in cut-net units; observers must not mutate
@@ -119,6 +132,7 @@ def fm_refine(
     nbrs = aux.neighbors
     pairs = aux.pairs
     volumes = aux.volumes
+    seeds = aux.seed_nodes
     u = aux.u
     n = aux.num_nodes  # the N of heap entries key * N + v
     push = heapq.heappush
@@ -140,10 +154,18 @@ def fm_refine(
         key = [2 * (d - e) for d, e in zip(volumes, external)]
         free = [True] * u + [False]  # movable and not yet moved in this pass
         heaps: tuple[list, list] = ([], [])
+        vol0 = 0  # block 0's motif volume
         for v in range(u):  # every node but u, the last one
-            heaps[blocks[v]].append(key[v] * n + v)
+            if blocks[v]:
+                heaps[1].append(key[v] * n + v)
+            else:
+                heaps[0].append(key[v] * n + v)
+                vol0 += volumes[v]
         heapq.heapify(heaps[0])
         heapq.heapify(heaps[1])
+        displaced = sum(blocks[s] for s in seeds)  # seeds outside block 0
+        if best is not None and not displaced:
+            best.offer(cur >> 1, vol0, counts[0], blocks)
         trail: list[int] = []
         best_cut = cur
         best_len = 0
@@ -184,10 +206,18 @@ def fm_refine(
             blocks[v] = 1 - f
             counts[f] -= 1
             counts[1 - f] += 1
+            if f:  # into block 0
+                vol0 += volumes[v]
+                displaced -= v in seeds
+            else:
+                vol0 -= volumes[v]
+                displaced += v in seeds
             cur += k
             trail.append(v)
             if observer is not None:
                 observer("move", blocks, v, cur >> 1)
+            if best is not None and not displaced:
+                best.offer(cur >> 1, vol0, counts[0], blocks)
             if cur < best_cut:
                 best_cut = cur
                 best_len = len(trail)
@@ -209,18 +239,23 @@ def partition_search(
     eps_range: tuple[float, float],
     rng: random.Random,
     total: int,
-) -> tuple[Blocks, Fraction] | None:
+) -> tuple[Blocks, Fraction, int, int] | None:
     """Best consistent partition over ``beta`` randomized-imbalance restarts.
 
     ``total`` is the global motif volume, so a state whose block 0 holds
     motif volume vol0 (summed from ``aux.volumes``) scores
     motif_conductance(cut, vol0, total). Each run draws its own RNG stream
     from the master rng, samples eps uniformly from ``eps_range``,
-    initializes randomly, refines, enforces consistency and scores the final
-    state. Every consistent state visited during refinement is scored as
-    well: refinement minimizes the cut, so the best-conductance state is
-    often mid-trajectory rather than final. Ties break by smaller cut-net,
-    then smaller block 0, then first found. Returns None when no state had a
+    initializes randomly and refines. Refinement minimizes the cut, so the
+    best-conductance state is often mid-trajectory rather than final:
+    ``fm_refine`` offers every consistent state it visits to the search's
+    ``_Best`` record, and the run's final state, after enforce_consistency,
+    is offered last. Ties break by smaller cut-net, then smaller block 0,
+    then first found.
+
+    Returns ``(blocks, phi, cut, size0)`` of the winner, with ``cut`` its
+    cut-net and ``size0`` the node count of its block 0, so that
+    ``found[1:]`` is its key in the tie order; None when no state had a
     defined conductance.
     """
     if beta < 1:
@@ -229,85 +264,37 @@ def partition_search(
     if not (0 < lo <= hi):
         raise InputError(f"invalid eps range {eps_range!r}")
     run_seeds = [rng.randrange(2**63) for _ in range(beta)]
-    best = _Best()
-    for i, run_seed in enumerate(run_seeds):
+    best = _Best(total)
+    for run_seed in run_seeds:
         r = random.Random(run_seed)
         eps = lo if lo == hi else r.uniform(lo, hi)
         init = random_feasible_partition(aux, eps, r)
-        scorer = _StateScorer(aux, total, i, best)
-        refined = fm_refine(aux, init, eps, observer=scorer)
-        final = enforce_consistency(aux, refined)
-        scorer.rescore(final, cut_net(aux, final))
-    if best.blocks is None:
+        final = enforce_consistency(aux, fm_refine(aux, init, eps, best=best))
+        vol0 = sum(d for d, b in zip(aux.volumes, final) if not b)
+        best.offer(cut_net(aux, final), vol0, len(final) - sum(final), final)
+    if best.key is None:
         return None
-    return best.blocks, best.key[0]
+    return (best.blocks, *best.key)
 
 
 class _Best:
-    """The search's smallest (phi, cut-net, block-0 size, run) key so far and
-    the blocks that reached it."""
+    """A search's best consistent state so far: its (phi, cut-net, block-0
+    size) key and its blocks. ``total`` is the global motif volume phi is
+    taken over. A state replaces the best only on a strictly smaller key,
+    so ties go to the state offered first."""
 
-    __slots__ = ("key", "blocks")
+    __slots__ = ("total", "key", "blocks")
 
-    def __init__(self):
-        self.key: tuple | None = None
+    def __init__(self, total: int):
+        self.total = total
+        self.key: tuple[Fraction, int, int] | None = None
         self.blocks: Blocks | None = None
 
-    def consider(self, key: tuple, blocks: Sequence[int]) -> None:
-        if self.key is None or key < self.key:
-            self.key = key
-            self.blocks = list(blocks)
-
-
-class _StateScorer:
-    """fm_refine observer: tracks (cut, block-0 volume, stray seeds, block-0
-    size) incrementally and offers every consistent state to the search.
-    ``rescore`` recounts them from scratch, at each pass start and for the
-    restart's final state."""
-
-    __slots__ = ("aux", "volumes", "total", "run", "best", "vol0", "size0", "displaced", "seeds")
-
-    def __init__(self, aux: AuxHypergraph, total: int, run: int, best: _Best):
-        self.aux = aux
-        self.volumes = aux.volumes
-        self.total = total
-        self.run = run
-        self.best = best
-        self.seeds = aux.seed_nodes
-        self.vol0 = 0
-        self.size0 = 0
-        self.displaced = 0
-
-    def __call__(self, event: str, blocks: Sequence[int], moved: int | None, cut: int) -> None:
-        if event == "pass":
-            self.rescore(blocks, cut)
-            return
-        vols = self.volumes
-        if blocks[moved] == 0:  # moved into block 0
-            self.vol0 += vols[moved]
-            self.size0 += 1
-            if moved in self.seeds:
-                self.displaced -= 1
-        else:
-            self.vol0 -= vols[moved]
-            self.size0 -= 1
-            if moved in self.seeds:
-                self.displaced += 1
-        self._offer(blocks, cut)
-
-    def rescore(self, blocks: Sequence[int], cut: int) -> None:
-        vols = self.volumes
-        self.vol0 = sum(vols[a] for a in range(self.aux.u) if blocks[a] == 0)
-        self.size0 = len(blocks) - sum(blocks)
-        self.displaced = sum(1 for s in self.seeds if blocks[s] == 1)
-        self._offer(blocks, cut)
-
-    def _offer(self, blocks: Sequence[int], cut: int) -> None:
-        if self.displaced:
-            return
-        key = self.best.key
-        if key is not None and cut * key[0].denominator > key[0].numerator * self.vol0:
+    def offer(self, cut: int, vol0: int, size0: int, blocks: Sequence[int]) -> None:
+        key = self.key
+        if key is not None and cut * key[0].denominator > key[0].numerator * vol0:
             return  # phi >= cut / vol0, which is already above the best phi
-        phi = motif_conductance(cut, self.vol0, self.total)
-        if phi is not None:
-            self.best.consider((phi, cut, self.size0, self.run), blocks)
+        phi = motif_conductance(cut, vol0, self.total)
+        if phi is not None and (key is None or (phi, cut, size0) < key):
+            self.key = (phi, cut, size0)
+            self.blocks = list(blocks)

@@ -12,10 +12,12 @@ ball-local occurrence collection, which holds every occurrence touching the
 ball, and |M|, the pattern's occurrence count in the whole hypergraph, comes
 from ``motifs.count_motifs``.
 
-The search takes d_mu from the auxiliary hypergraph (half the W degree). The
-winner's d_mu(C) is then counted once more, straight from its occurrences
-(``motif_degrees``), and a phi that disagrees with that count raises
-InternalError.
+The search scores states with the cut and d_mu that FM tracks on the
+auxiliary hypergraph (d_mu is half the W degree), and returns the winner with
+its (phi, cut, block-0 size) key; the smallest key across balls wins, the
+earlier ball on ties. The winner alone is then recounted: its cut with
+``cut_net`` and its d_mu(C) straight from its occurrences
+(``motif_degrees``). A cut or phi that disagrees raises InternalError.
 """
 
 from __future__ import annotations
@@ -222,10 +224,9 @@ def run_local_clustering(
 
     details = RunDetails(H, parsed.labels, seed_index, balls)
     ball_seeds = [rng.randrange(2**63) for _ in balls]
-    best_key: tuple | None = None
-    best: dict | None = None
+    winner = None  # (found, ball, M, aux) of the best ball so far
     any_motifs = False
-    for order, (ball, ball_seed) in enumerate(zip(balls, ball_seeds)):
+    for ball, ball_seed in zip(balls, ball_seeds):
         t0 = time.perf_counter()
         M = enumerate_motifs(H, ball, pattern)
         times["enumerate"] += time.perf_counter() - t0
@@ -244,22 +245,9 @@ def run_local_clustering(
             total,
         )
         times["partition"] += time.perf_counter() - t0
-        if found is None:
-            continue
-        blocks, phi = found
-        cut = cut_net(aux, blocks)
-        size0 = len(blocks) - sum(blocks)
-        key = (phi, cut, size0, order)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = {
-                "ball": ball,
-                "M": M,
-                "aux": aux,
-                "blocks": blocks,
-                "phi": phi,
-                "cut": cut,
-            }
+        # found[1:] is the search's (phi, cut, size0) key; ties keep the earlier ball
+        if found is not None and (winner is None or found[1:] < winner[0][1:]):
+            winner = (found, ball, M, aux)
 
     params = {
         "alpha": config.alpha,
@@ -277,24 +265,24 @@ def run_local_clustering(
         rng_seed=config.rng_seed,
         params=params,
     )
-    if best is None:
+    if winner is None:
         report.status = "no-motifs" if not any_motifs else "undefined-conductance"
         report.ball_size = len(balls[0].nodes)
     else:
-        ball = best["ball"]
-        aux = best["aux"]
-        blocks = best["blocks"]
+        (blocks, phi, search_cut, _), ball, M, aux = winner
         cluster_ids = [aux.back_map[a] for a in range(aux.u) if blocks[a] == 0]
         t0 = time.perf_counter()
-        dmu = motif_degrees(best["M"])
+        dmu = motif_degrees(M)
         vol_cluster = sum(dmu.get(v, 0) for v in cluster_ids)
         times["aux"] += time.perf_counter() - t0
-        phi: Fraction = best["phi"]
+        t0 = time.perf_counter()
+        cut = cut_net(aux, blocks)
+        times["partition"] += time.perf_counter() - t0
         volume_used = min(vol_cluster, total - vol_cluster)
-        if phi != motif_conductance(best["cut"], vol_cluster, total):
+        if cut != search_cut or phi != motif_conductance(cut, vol_cluster, total):
             raise InternalError(
-                f"search phi {phi} does not match cut {best['cut']} over the "
-                f"occurrence-counted volume {volume_used}"
+                f"search phi {phi} at cut {search_cut} does not match the "
+                f"recounted cut {cut} over the occurrence-counted volume {volume_used}"
             )
         report.status = "ok"
         report.cluster = sorted(parsed.labels[v] for v in cluster_ids)
@@ -302,12 +290,12 @@ def run_local_clustering(
         report.ball_size = len(ball.nodes)
         report.phi = mio.render_phi(phi)
         report.phi_exact = f"{phi.numerator}/{phi.denominator}"
-        report.motif_cut = best["cut"]
+        report.motif_cut = cut
         report.cluster_motif_degree = vol_cluster
         report.volume_used = volume_used
         report.volume_side = "cluster" if volume_used == vol_cluster else "complement"
         details.winning_ball = ball
-        details.occurrences = best["M"]
+        details.occurrences = M
         details.aux = aux
         details.blocks = blocks
         details.phi = phi

@@ -7,18 +7,27 @@ instance generators stay in ``motifclust.testing``.
 from __future__ import annotations
 
 import heapq
+import random
 import re
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
 from motifclust.auxiliary import AuxHypergraph
 from motifclust.balls import CoreDecomposition
-from motifclust.conductance import cut_net
+from motifclust.conductance import cut_net, motif_conductance
 from motifclust.core import Hyperedge, Hypergraph
 from motifclust.errors import ConstraintError, InputError, ParseError, RefinementError
 from motifclust.io import ParseResult
-from motifclust.partition import MAX_PASSES, Blocks, size_bound
+from motifclust.partition import (
+    MAX_PASSES,
+    Blocks,
+    enforce_consistency,
+    fm_refine,
+    random_feasible_partition,
+    size_bound,
+)
 
 
 # -- reference core decomposition: tuple-keyed pair counts, which
@@ -235,6 +244,111 @@ def reference_fm_refine(
             f"fm_refine worsened the cut: {initial_cut >> 1} -> {cur >> 1}"
         )
     return blocks
+
+
+# -- reference search: the observer-scored restarts that fm_refine's own
+# state tracking replaces
+
+
+def reference_partition_search(
+    aux: AuxHypergraph,
+    beta: int,
+    eps_range: tuple[float, float],
+    rng: random.Random,
+    total: int,
+) -> tuple[Blocks, Fraction, int, int] | None:
+    """partition_search with each state scored by an fm_refine observer that
+    recounts block 0's volume, size and stray seeds at every pass start and
+    updates them on every move. Returns (blocks, phi, cut-net, block-0 size)
+    of the smallest (phi, cut-net, block-0 size, run) key, or None."""
+    if beta < 1:
+        raise InputError(f"beta must be >= 1, got {beta}")
+    lo, hi = eps_range
+    if not (0 < lo <= hi):
+        raise InputError(f"invalid eps range {eps_range!r}")
+    run_seeds = [rng.randrange(2**63) for _ in range(beta)]
+    best = _Best()
+    for i, run_seed in enumerate(run_seeds):
+        r = random.Random(run_seed)
+        eps = lo if lo == hi else r.uniform(lo, hi)
+        init = random_feasible_partition(aux, eps, r)
+        scorer = _StateScorer(aux, total, i, best)
+        refined = fm_refine(aux, init, eps, observer=scorer)
+        final = enforce_consistency(aux, refined)
+        scorer.rescore(final, cut_net(aux, final))
+    if best.blocks is None:
+        return None
+    return (best.blocks, *best.key[:3])
+
+
+class _Best:
+    """The search's smallest (phi, cut-net, block-0 size, run) key so far and
+    the blocks that reached it."""
+
+    __slots__ = ("key", "blocks")
+
+    def __init__(self):
+        self.key: tuple | None = None
+        self.blocks: Blocks | None = None
+
+    def consider(self, key: tuple, blocks: Sequence[int]) -> None:
+        if self.key is None or key < self.key:
+            self.key = key
+            self.blocks = list(blocks)
+
+
+class _StateScorer:
+    """fm_refine observer: tracks (cut, block-0 volume, stray seeds, block-0
+    size) incrementally and offers every consistent state to the search.
+    ``rescore`` recounts them from scratch, at each pass start and for the
+    restart's final state."""
+
+    __slots__ = ("aux", "volumes", "total", "run", "best", "vol0", "size0", "displaced", "seeds")
+
+    def __init__(self, aux: AuxHypergraph, total: int, run: int, best: _Best):
+        self.aux = aux
+        self.volumes = aux.volumes
+        self.total = total
+        self.run = run
+        self.best = best
+        self.seeds = aux.seed_nodes
+        self.vol0 = 0
+        self.size0 = 0
+        self.displaced = 0
+
+    def __call__(self, event: str, blocks: Sequence[int], moved: int | None, cut: int) -> None:
+        if event == "pass":
+            self.rescore(blocks, cut)
+            return
+        vols = self.volumes
+        if blocks[moved] == 0:  # moved into block 0
+            self.vol0 += vols[moved]
+            self.size0 += 1
+            if moved in self.seeds:
+                self.displaced -= 1
+        else:
+            self.vol0 -= vols[moved]
+            self.size0 -= 1
+            if moved in self.seeds:
+                self.displaced += 1
+        self._offer(blocks, cut)
+
+    def rescore(self, blocks: Sequence[int], cut: int) -> None:
+        vols = self.volumes
+        self.vol0 = sum(vols[a] for a in range(self.aux.u) if blocks[a] == 0)
+        self.size0 = len(blocks) - sum(blocks)
+        self.displaced = sum(1 for s in self.seeds if blocks[s] == 1)
+        self._offer(blocks, cut)
+
+    def _offer(self, blocks: Sequence[int], cut: int) -> None:
+        if self.displaced:
+            return
+        key = self.best.key
+        if key is not None and cut * key[0].denominator > key[0].numerator * self.vol0:
+            return  # phi >= cut / vol0, which is already above the best phi
+        phi = motif_conductance(cut, self.vol0, self.total)
+        if phi is not None:
+            self.best.consider((phi, cut, self.size0, self.run), blocks)
 
 
 # -- reference parsers: the line-by-line ingest that io's one-pass parsers replace

@@ -21,7 +21,7 @@ from motifclust import (
     random_feasible_partition,
 )
 from motifclust.testing import synthetic_contact_edges
-from references import aux_from_hyperedges, reference_fm_refine
+from references import aux_from_hyperedges, reference_fm_refine, reference_partition_search
 
 
 def toy_aux():
@@ -67,6 +67,9 @@ def test_cut_net_toy():
     assert cut_net(aux, [0, 0, 1, 1]) == 1
     with pytest.raises(ConstraintError):
         cut_net(aux, [0, 0, 0, 0])
+    for bad in ("x", None):
+        with pytest.raises(InputError, match="block values must be 0 or 1"):
+            cut_net(aux, [0, 0, bad, 1])
 
 
 def test_random_feasible_partition_contract():
@@ -223,6 +226,46 @@ def test_fm_refine_matches_the_tuple_heap_reference():
     assert shapes == [True, True, True]
 
 
+def test_partition_search_matches_the_observer_scored_reference():
+    # fm_refine's own vol0 / displaced-seed tracking finds the same winner as
+    # the observer that recounted them at each pass start: equal (blocks, phi,
+    # cut, size0), or None on both sides, with light and heavy weights, on
+    # desk-I and desk-VI balls, at a binding and at looser size bounds, and
+    # with totals on both sides of 2 * sum(volumes), so both volume sides win
+    rng = random.Random(62)
+    cases = []
+    for i in range(120):
+        ball, edges, seeds = random_hyperedges(rng)
+        scale = 1 if i % 2 else rng.choice((7, 40, 1000))
+        aux = aux_from_hyperedges(
+            ball, [(m, w * scale) for m, w in sorted(edges.items())], seed_nodes=seeds
+        )
+        cases.append((aux, rng.randint(1, 6)))
+    for n_edges, pattern in ((2000, MotifPattern.I), (12704, MotifPattern.VI)):
+        H = Hypergraph.from_members(synthetic_contact_edges(n_edges=n_edges))
+        seed = H.edge(0).members
+        for ball in [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100):
+            cases.append((build_aux(enumerate_motifs(H, ball, pattern), ball, seed), 2))
+    sides = set()
+    undefined = 0
+    for aux, beta in cases:
+        volume = sum(aux.volumes)
+        for total in (volume + rng.randrange(volume), 2 * volume + rng.randint(1, 2 * volume)):
+            for eps_range in ((0.03, 0.03), (0.03, 0.5), (0.5, 1.0)):
+                seed = rng.randrange(2**32)
+                got = partition_search(aux, beta, eps_range, random.Random(seed), total)
+                want = reference_partition_search(
+                    aux, beta, eps_range, random.Random(seed), total
+                )
+                assert got == want
+                if got is None:
+                    undefined += 1
+                    continue
+                vol0 = sum(d for d, b in zip(aux.volumes, got[0]) if not b)
+                sides.add("cluster" if 2 * vol0 <= total else "complement")
+    assert sides == {"cluster", "complement"} and undefined > 0
+
+
 def test_enforce_consistency():
     aux = aux_from_hyperedges(3, [((0, 3), 1)], seed_nodes=[0, 1])
     assert enforce_consistency(aux, [0, 0, 1, 1]) == [0, 0, 1, 1]
@@ -241,9 +284,7 @@ def test_partition_search_toy():
     # the toy's global volume is 6: the ball {0, 1, 2} outweighs its complement
     found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), 6)
     assert found is not None
-    blocks, phi = found
-    assert blocks == [0, 0, 0, 1]
-    assert phi == Fraction(1, 2)
+    assert found == ([0, 0, 0, 1], Fraction(1, 2), 1, 3)  # blocks, phi, cut, size0
     # with more volume outside the ball, the cluster side is the denominator
     found = partition_search(aux, 5, (0.03, 0.5), random.Random(0), 12)
     assert found[1] == Fraction(1, 4)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import motifclust.pipeline as mpipe
 from motifclust import (
     InputError,
+    InternalError,
     MotifPattern,
     RunConfig,
     cut_net,
@@ -94,6 +96,28 @@ def test_pipeline_report_invariants_and_self_consistency(tmp_path):
     assert ("cluster" if vol0 <= total - vol0 else "complement") == report.volume_side
     assert Fraction(report.motif_cut, report.volume_used) == Fraction(report.phi_exact)
     assert abs(report.phi - report.motif_cut / report.volume_used) <= 5e-4
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda blocks, phi, cut, size0: (blocks, phi, cut + 1, size0),
+        lambda blocks, phi, cut, size0: (blocks, phi + Fraction(1, 1000), cut, size0),
+    ],
+    ids=["cut", "phi"],
+)
+def test_pipeline_rejects_a_winner_its_recount_disagrees_with(tmp_path, monkeypatch, perturb):
+    # the search's true winner, with its cut or its phi off: the recount of
+    # the winner's cut and occurrence-counted volume must raise
+    real = mpipe.partition_search
+
+    def search(*args):
+        found = real(*args)
+        return None if found is None else perturb(*found)
+
+    monkeypatch.setattr(mpipe, "partition_search", search)
+    with pytest.raises(InternalError, match="does not match the recounted cut"):
+        run_local_clustering(toy_config(tmp_path))
 
 
 def test_pipeline_writes_report(tmp_path):
