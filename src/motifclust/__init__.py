@@ -35,7 +35,6 @@ from .motifs import (
 )
 from .partition import (
     cut_net,
-    enforce_consistency,
     fm_refine,
     partition_search,
     random_feasible_partition,
@@ -70,7 +69,6 @@ __all__ = [
     "core_ball",
     "count_motifs",
     "cut_net",
-    "enforce_consistency",
     "enumerate_motifs",
     "fm_refine",
     "motif_conductance",

@@ -6,6 +6,7 @@ hyperedge are deduplicated, hyperedges with fewer than two distinct nodes are
 dropped (counted), and duplicate hyperedges merge into one (counted). A
 negative ARB size is a ParseError. Labels are mapped to dense ids in order of
 first appearance in a kept hyperedge; the label list maps them back.
+Input files are read as UTF-8, and a leading byte-order mark is ignored.
 
 Where each check runs: each file is read and tokenised in one pass (a bad
 token re-reads it line by line, only to name the line). Labels are mapped to
@@ -118,7 +119,7 @@ def parse_edge_list(source) -> ParseResult:
     else:
         name = str(source)
         try:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:
                 lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}", path=name) from exc
@@ -136,7 +137,7 @@ def _raise_first_bad_token(path: str, sizes: bool = False) -> NoReturn:
     ParseError that names its first bad token (with ``sizes``, a negative
     value is one) and that token's line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 for token in _tokens(line):
                     try:
@@ -157,7 +158,7 @@ def _read_sizes(path: str) -> tuple[int, ...]:
     """Every token of a file as a non-negative int, read and tokenised in
     one pass."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             values = tuple(map(int, _tokens(fh.read())))
         if min(values, default=0) >= 0:
             return values
@@ -177,7 +178,7 @@ def _read_labels(path: str) -> tuple[list[int], list[int]]:
     holding one each; spellings of one integer (7, 07) map to one label.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             tokens = _tokens(fh.read())
         spellings = dict.fromkeys(tokens)
         values = dict(zip(spellings, map(int, spellings)))

@@ -15,7 +15,9 @@ during refinement, and seeds are moved back to block 0 afterwards.
 States are scored where FM already tracks them: ``fm_refine`` keeps the
 cut, the block sizes, block 0's motif volume (from ``aux.volumes``) and the
 count of seeds outside block 0, and offers every state with no displaced
-seed to the search's ``_Best`` record. ``_Best`` scores it with
+seed to the search's ``_Best`` record. A restart's end state is offered
+only when moving its seeds back to block 0 makes it a new state; its cut
+and volume are then counted once. ``_Best`` scores a state with
 ``conductance.motif_conductance`` and holds the search's one tie order:
 smaller phi, then smaller cut-net, then smaller block 0, then first found.
 """
@@ -43,19 +45,6 @@ def size_bound(num_nodes: int, eps: float) -> int:
     if eps <= 0:
         raise InputError(f"imbalance eps must be > 0, got {eps}")
     return math.ceil((1 + eps) * num_nodes / 2)
-
-
-def enforce_consistency(aux: AuxHypergraph, blocks: Sequence[int]) -> Blocks:
-    """Relabel so u sits in block 1, then move stray seed nodes to block 0.
-
-    The post-hoc move may leave block 1 holding only u; that is still valid.
-    """
-    out = list(blocks)
-    if out[aux.u] == 0:
-        out = [1 - b for b in out]
-    for s in aux.seed_nodes:
-        out[s] = 0
-    return out
 
 
 def random_feasible_partition(aux: AuxHypergraph, eps: float, rng: random.Random) -> Blocks:
@@ -249,9 +238,12 @@ def partition_search(
     initializes randomly and refines. Refinement minimizes the cut, so the
     best-conductance state is often mid-trajectory rather than final:
     ``fm_refine`` offers every consistent state it visits to the search's
-    ``_Best`` record, and the run's final state, after enforce_consistency,
-    is offered last. Ties break by smaller cut-net, then smaller block 0,
-    then first found.
+    ``_Best`` record. A run's end state is offered last, and only when it
+    leaves a seed outside block 0: the seeds are then moved back, which
+    makes a state FM never visited. Otherwise FM has offered it already
+    (its rollback returns to a visited state), and a second offer of an
+    equal key changes nothing. Ties break by smaller cut-net, then smaller
+    block 0, then first found.
 
     Returns ``(blocks, phi, cut, size0)`` of the winner, with ``cut`` its
     cut-net and ``size0`` the node count of its block 0, so that
@@ -263,15 +255,16 @@ def partition_search(
     lo, hi = eps_range
     if not (0 < lo <= hi):
         raise InputError(f"invalid eps range {eps_range!r}")
-    run_seeds = [rng.randrange(2**63) for _ in range(beta)]
     best = _Best(total)
-    for run_seed in run_seeds:
-        r = random.Random(run_seed)
+    for _ in range(beta):
+        r = random.Random(rng.randrange(2**63))
         eps = lo if lo == hi else r.uniform(lo, hi)
-        init = random_feasible_partition(aux, eps, r)
-        final = enforce_consistency(aux, fm_refine(aux, init, eps, best=best))
-        vol0 = sum(d for d, b in zip(aux.volumes, final) if not b)
-        best.offer(cut_net(aux, final), vol0, len(final) - sum(final), final)
+        blocks = fm_refine(aux, random_feasible_partition(aux, eps, r), eps, best=best)
+        if any(blocks[s] for s in aux.seed_nodes):  # else fm_refine offered it
+            for s in aux.seed_nodes:
+                blocks[s] = 0
+            vol0 = sum(d for d, b in zip(aux.volumes, blocks) if not b)
+            best.offer(cut_net(aux, blocks), vol0, len(blocks) - sum(blocks), blocks)
     if best.key is None:
         return None
     return (best.blocks, *best.key)

@@ -33,7 +33,7 @@ from .auxiliary import AuxHypergraph, build_aux
 from .balls import Ball, bfs_balls, core_ball
 from .conductance import motif_conductance
 from .core import Hypergraph
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ParseError
 from .motifs import MotifPattern, count_motifs, enumerate_motifs, motif_degrees
 from .partition import cut_net, partition_search, size_bound
 
@@ -79,6 +79,8 @@ class RunConfig:
                 f"eps range must satisfy 0 < eps_min <= eps_max <= 1, "
                 f"got [{self.eps_min}, {self.eps_max}]"
             )
+        if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
+            raise InputError(f"report directory does not exist: {self.output}")
 
 
 @dataclass
@@ -374,8 +376,12 @@ def run_benchmark(
                 if path in written:
                     fail(single, InputError(f"report {path} was already written in this bench run"))
                     continue
+                try:
+                    mio.write_report(report, path)
+                except ParseError as exc:  # the report is lost, so the run failed
+                    fail(single, exc)
+                    continue
                 written.add(path)
-                mio.write_report(report, path)
             reports.append(report)
             ok = report.status == "ok"
             rows.append(

@@ -23,7 +23,6 @@ from motifclust.io import ParseResult
 from motifclust.partition import (
     MAX_PASSES,
     Blocks,
-    enforce_consistency,
     fm_refine,
     random_feasible_partition,
     size_bound,
@@ -248,6 +247,19 @@ def reference_fm_refine(
 
 # -- reference search: the observer-scored restarts that fm_refine's own
 # state tracking replaces
+
+
+def enforce_consistency(aux: AuxHypergraph, blocks: Sequence[int]) -> Blocks:
+    """Relabel so u sits in block 1, then move stray seed nodes to block 0.
+
+    The post-hoc move may leave block 1 holding only u; that is still valid.
+    """
+    out = list(blocks)
+    if out[aux.u] == 0:
+        out = [1 - b for b in out]
+    for s in aux.seed_nodes:
+        out[s] = 0
+    return out
 
 
 def reference_partition_search(

@@ -64,6 +64,24 @@ def test_cluster_command_input_error_exit_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_cluster_command_missing_output_directory_exit_2_before_the_run(tmp_path, monkeypatch):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+
+    def load_input(config):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr("motifclust.pipeline.load_input", load_input)
+    out = tmp_path / "missing" / "r.json"
+    result = CliRunner().invoke(
+        main,
+        ["cluster", "--input", str(data), "--motif", "3", "--seed-edge", "index:0",
+         "--output", str(out)],
+    )
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"Error: report directory does not exist: {out}"]
+
+
 def test_cluster_command_bad_random_count_exit_2(tmp_path):
     data = tmp_path / "toy.txt"
     write_toy(data)
@@ -175,6 +193,32 @@ def test_bench_command(tmp_path):
     assert any(l.startswith("Overall,") for l in lines)
     reports = list((tmp_path / "reports").glob("*.json"))
     assert len(reports) == 3
+
+
+def test_bench_command_fails_the_row_whose_report_cannot_be_written(tmp_path):
+    # "sub/dir" names a report in a directory that does not exist: that run
+    # becomes a failed row and the runs after it still run
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    run = {"input": str(data), "motif": "3", "seed_edge": "index:0", "beta": 5}
+    runs = [
+        dict(run, method="core", dataset="toy"),
+        dict(run, method="core", dataset="sub/dir"),
+        dict(run, method="bfs", dataset="toy"),
+    ]
+    result = _invoke_bench(tmp_path, runs, csv="bench.csv", output_dir="reports")
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[2] == "sub/dir,core,,,"
+    assert lines[1].startswith("toy,core,0.500,") and lines[3].startswith("toy,bfs,0.500,")
+    failed = tmp_path / "reports" / "sub" / "dir__core__III__seed0.json"
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("FAILED sub/dir [core]: cannot write report")
+    assert str(failed) in result.stderr
+    assert sorted(p.name for p in (tmp_path / "reports").glob("*.json")) == [
+        "toy__bfs__III__seed0.json",
+        "toy__core__III__seed0.json",
+    ]
 
 
 def test_bench_command_bad_config(tmp_path):

@@ -195,6 +195,36 @@ def test_parse_arb_reports_bad_utf8_as_the_reference_does(tmp_path):
         )
 
 
+BOM = "\ufeff"  # a UTF-8 byte-order mark, as some editors write it
+
+
+def test_parse_edge_list_ignores_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("a b c\nb c d\nc d a\n", encoding="utf-8")
+    marked.write_text(BOM + "a b c\nb c d\nc d a\n", encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _outcome(parse_edge_list, marked) == _outcome(parse_edge_list, plain)
+    assert parse_edge_list(marked).labels == ["a", "b", "c", "d"]
+
+
+def test_parse_arb_ignores_a_byte_order_mark(tmp_path):
+    plain = _arb_files(tmp_path / "plain", "3\n2\n", "1 2 3\n3 4\n")
+    marked = _arb_files(tmp_path / "marked", BOM + "3\n2\n", BOM + "1 2 3\n3 4\n")
+    assert _outcome(parse_arb_simplices, *marked) == _outcome(parse_arb_simplices, *plain)
+    assert parse_arb_simplices(*marked).labels == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("bad_file", ["nverts", "simplices"])
+def test_parse_arb_names_a_bad_token_after_a_byte_order_mark(tmp_path, bad_file):
+    texts = {"nverts": BOM + "2\n2\n", "simplices": BOM + "1 2\n3 4\n"}
+    texts[bad_file] = BOM + "x " + texts[bad_file][1:]
+    nverts, simplices = _arb_files(tmp_path, texts["nverts"], texts["simplices"])
+    path = {"nverts": nverts, "simplices": simplices}[bad_file]
+    with pytest.raises(ParseError) as err:
+        parse_arb_simplices(nverts, simplices)
+    assert str(err.value) == f"expected an integer, got 'x' [{path}:1]"
+
+
 # separators the reference splits on: whitespace (ASCII and not), commas,
 # and line ends of each style
 _SEPARATORS = [" ", "  ", "\t", ",", ", ", " ,\t", "\n", "\r\n", "\r", "\n\n", "\u00a0", "\u2003", "\x0c", "\x1c"]

@@ -14,7 +14,6 @@ from motifclust import (
     build_aux,
     core_ball,
     cut_net,
-    enforce_consistency,
     enumerate_motifs,
     fm_refine,
     partition_search,
@@ -226,12 +225,22 @@ def test_fm_refine_matches_the_tuple_heap_reference():
     assert shapes == [True, True, True]
 
 
-def test_partition_search_matches_the_observer_scored_reference():
+def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
     # fm_refine's own vol0 / displaced-seed tracking finds the same winner as
     # the observer that recounted them at each pass start: equal (blocks, phi,
     # cut, size0), or None on both sides, with light and heavy weights, on
     # desk-I and desk-VI balls, at a binding and at looser size bounds, and
-    # with totals on both sides of 2 * sum(volumes), so both volume sides win
+    # with totals on both sides of 2 * sum(volumes), so both volume sides win.
+    # Many restarts end with a seed outside block 0, so the end state that
+    # moving the seeds back makes is offered, and must be scored, often
+    displaced = []
+
+    def counting_fm_refine(aux, blocks, eps, observer=None, best=None):
+        refined = fm_refine(aux, blocks, eps, observer=observer, best=best)
+        displaced.append(any(refined[s] for s in aux.seed_nodes))
+        return refined
+
+    monkeypatch.setattr(mp, "fm_refine", counting_fm_refine)
     rng = random.Random(62)
     cases = []
     for i in range(120):
@@ -264,18 +273,7 @@ def test_partition_search_matches_the_observer_scored_reference():
                 vol0 = sum(d for d, b in zip(aux.volumes, got[0]) if not b)
                 sides.add("cluster" if 2 * vol0 <= total else "complement")
     assert sides == {"cluster", "complement"} and undefined > 0
-
-
-def test_enforce_consistency():
-    aux = aux_from_hyperedges(3, [((0, 3), 1)], seed_nodes=[0, 1])
-    assert enforce_consistency(aux, [0, 0, 1, 1]) == [0, 0, 1, 1]
-    # u on block 0: relabel flips everything first
-    assert enforce_consistency(aux, [1, 1, 0, 0]) == [0, 0, 1, 1]
-    # stray seeds moved; block 1 may end up holding only u
-    moved = enforce_consistency(aux, [1, 1, 1, 1])
-    assert moved == [0, 0, 1, 1]
-    assert moved[aux.u] == 1
-    assert all(moved[s] == 0 for s in aux.seed_nodes)
+    assert sum(displaced) >= 300
 
 
 def test_partition_search_toy():

@@ -214,6 +214,28 @@ def test_run_benchmark_refuses_to_overwrite_a_report(tmp_path):
     assert [r["phi"] != "" for r in data_rows] == [True, False]
 
 
+def test_run_benchmark_fails_a_run_whose_report_cannot_be_written(tmp_path):
+    # a report that failed to write is not written: a second run with the
+    # same name fails on the write again, not as a repeat of the first
+    out = tmp_path / "reports"
+    configs = [toy_config(tmp_path, dataset="sub/toy", rng_seed=seed) for seed in (1, 2)]
+    result = run_benchmark(configs, output_dir=str(out))
+    assert not result.reports and not list(out.iterdir())
+    path = out / "sub" / "toy__bfs__III__seed0.json"
+    assert len(result.failures) == 2
+    for _, _, error in result.failures:
+        assert error.startswith("cannot write report:") and error.endswith(f"[{path}]")
+    assert [r["phi"] for r in result.rows] == ["", ""]
+
+
+def test_run_config_checks_the_report_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    toy_config(tmp_path, output="r.json").validate()  # no directory: the CWD
+    toy_config(tmp_path, output=str(tmp_path / "r.json")).validate()
+    with pytest.raises(InputError, match="report directory does not exist"):
+        toy_config(tmp_path, output=str(tmp_path / "missing" / "r.json")).validate()
+
+
 def test_dataset_smaller_than_min_ball_still_completes(tmp_path):
     # the whole component becomes the single ball
     report = run_local_clustering(toy_config(tmp_path, min_ball=100))
