@@ -4,13 +4,18 @@ Two strategies: neighborhood-based core decomposition (peel by neighbor count
 inside the surviving strongly-induced subhypergraph, then descend core levels
 until the seed's component is big enough) and layered hypergraph BFS (cumulative
 layer unions starting at the first union that exceeds the size threshold).
+
+``core_ball`` reads only the core levels up to the seed's own, so it asks
+for the peel truncated at the seed (``nbr_core_decomposition(H, seed)``),
+which stops once a seed node is due for deletion. It calls the function
+through this module's global, which the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable
 
 from .core import Hypergraph, canonical_members
@@ -40,17 +45,27 @@ class CoreDecomposition:
         return frozenset(v for v, c in enumerate(self.core_number) if c >= k)
 
 
-def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
+def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> CoreDecomposition:
     """Neighborhood-based core numbers via progressive peeling.
 
     For k = 1, 2, ... repeatedly delete every node with fewer than k neighbors
     in the surviving strongly-induced subhypergraph (deleting a node kills all
     hyperedges containing it). A node deleted during round k has core number
     k - 1. Simultaneously sub-threshold nodes are deleted in ascending id order.
+
+    With ``seed`` nodes given, the peel stops in the round k in which the
+    first of them is queued for deletion: that node's core number, k* = k - 1,
+    is the least over the seed, and every node still alive has core number
+    at least k*. The result is the decomposition truncated at k*: core number
+    min(core(v), k*) for every v, and ``max_core`` k*. Level sets up to k*,
+    the only ones ``core_ball`` reads, equal the full decomposition's.
     """
     n = H.n
     if n == 0:
         raise InputError("core decomposition of an empty hypergraph")
+    stop = frozenset(seed)
+    if not all(0 <= v < n for v in stop):
+        raise InputError(f"seed {sorted(stop)!r} names a node outside [0, {n})")
     members = H.members
     alive = bytearray([1]) * n
     edge_alive = bytearray([1]) * len(members)
@@ -61,11 +76,9 @@ def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
         for a, b in combinations(mem, 2):
             key = a * n + b
             pair_count[key] = get(key, 0) + 1
-    nbr_count = [0] * n
-    for key in pair_count:
-        a, b = divmod(key, n)
-        nbr_count[a] += 1
-        nbr_count[b] += 1
+    low = Counter(map(n.__rfloordiv__, pair_count))
+    high = Counter(map(n.__rmod__, pair_count))
+    nbr_count = [low[v] + high[v] for v in range(n)]
 
     core = [0] * n
     remaining = n
@@ -74,6 +87,8 @@ def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
         k += 1
         queue = deque(v for v in range(n) if alive[v] and nbr_count[v] < k)
         queued = set(queue)
+        if not stop.isdisjoint(queued):
+            return _truncated(core, alive, k - 1)
         while queue:
             v = queue.popleft()
             alive[v] = 0
@@ -92,9 +107,19 @@ def nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
                             if alive[x]:
                                 nbr_count[x] -= 1
                                 if nbr_count[x] < k and x not in queued:
+                                    if x in stop:
+                                        return _truncated(core, alive, k - 1)
                                     queue.append(x)
                                     queued.add(x)
     return CoreDecomposition(tuple(core), max(core, default=0))
+
+
+def _truncated(core: list[int], alive: bytearray, k_star: int) -> CoreDecomposition:
+    """The decomposition truncated at k_star, once every node deleted so far
+    has its core number and every node still alive has one of at least k_star."""
+    for v in compress(range(len(core)), alive):
+        core[v] = k_star
+    return CoreDecomposition(tuple(core), k_star)
 
 
 def _require_seed_edge(H: Hypergraph, seed: Iterable[int]) -> tuple[int, ...]:
@@ -120,7 +145,7 @@ def core_ball(
     members = _require_seed_edge(H, seed)
     if min_size < len(members):
         raise InputError(f"min_size {min_size} smaller than the seed ({len(members)} nodes)")
-    decomp = decomposition if decomposition is not None else nbr_core_decomposition(H)
+    decomp = decomposition if decomposition is not None else nbr_core_decomposition(H, members)
     k_star = max(1, min(decomp.core_number[v] for v in members))
     comp: frozenset[int] = frozenset(members)
     used_k = k_star

@@ -11,6 +11,12 @@ no hot path reads it. Everything downstream (ball selection, motif
 enumeration, partitioning) reads this object without mutating it.
 ``Hypergraph.bfs`` is the one traversal: connected components, closed
 neighborhoods and the BFS balls of phase one all read its layers.
+
+The small-edge index that motif classification reads is built on first use,
+once per hypergraph: the dyads, the triads, and the triads grouped by how
+many of their three node pairs are dyads (``triads_with_dyads``). The dyadic
+adjacency is built apart from it, on the first ``dyadic_neighbors`` call,
+which only the dyadic patterns make.
 """
 
 from __future__ import annotations
@@ -116,7 +122,8 @@ class Hypergraph:
                 seen.add(mem)
         self._members: tuple[Members, ...] = tuple(members)
         self._incidence: tuple[tuple[int, ...], ...] = tuple(map(tuple, incidence))
-        self._small_index: tuple[frozenset, frozenset, dict] | None = None
+        self._small_index: tuple[frozenset, frozenset, tuple] | None = None
+        self._dyadic_adj: dict[int, frozenset[int]] | None = None
 
     @classmethod
     def from_members(
@@ -233,24 +240,34 @@ class Hypergraph:
 
     # -- small-edge index (dyads / triads), used by motif classification --
 
-    def _build_small_index(self) -> tuple[frozenset, frozenset, dict]:
+    def _build_small_index(self) -> tuple[frozenset, frozenset, tuple]:
+        """Dyads, triads, and the triads grouped by how many of their three
+        node pairs are dyads, built on first use; each triad is classified
+        once per hypergraph."""
         idx = self._small_index
         if idx is None:
-            dyads: set[tuple[int, int]] = set()
-            triads: set[tuple[int, int, int]] = set()
-            dyadic_adj: dict[int, set[int]] = {}
-            for mem in self._members:
-                if len(mem) == 2:
-                    a, b = mem
-                    dyads.add(mem)
-                    dyadic_adj.setdefault(a, set()).add(b)
-                    dyadic_adj.setdefault(b, set()).add(a)
-                elif len(mem) == 3:
-                    triads.add(mem)
-            adj = {v: frozenset(s) for v, s in dyadic_adj.items()}
-            idx = (frozenset(dyads), frozenset(triads), adj)
+            dyads = frozenset(mem for mem in self._members if len(mem) == 2)
+            triads = [mem for mem in self._members if len(mem) == 3]
+            groups: tuple[list, list, list, list] = ([], [], [], [])
+            for mem in triads:
+                x, y, z = mem
+                groups[((x, y) in dyads) + ((x, z) in dyads) + ((y, z) in dyads)].append(mem)
+            idx = (dyads, frozenset(triads), tuple(map(tuple, groups)))
             self._small_index = idx
         return idx
+
+    def _build_dyadic_adjacency(self) -> dict[int, frozenset[int]]:
+        """Each node's dyadic neighbors, built on the first ``dyadic_neighbors``
+        call; only the dyadic patterns (I, II) ask for it."""
+        adj = self._dyadic_adj
+        if adj is None:
+            sets: dict[int, set[int]] = {}
+            for a, b in self.dyads:
+                sets.setdefault(a, set()).add(b)
+                sets.setdefault(b, set()).add(a)
+            adj = {v: frozenset(s) for v, s in sets.items()}
+            self._dyadic_adj = adj
+        return adj
 
     @property
     def dyads(self) -> frozenset[tuple[int, int]]:
@@ -262,10 +279,18 @@ class Hypergraph:
         """Member tuples of all size-3 hyperedges."""
         return self._build_small_index()[1]
 
+    def triads_with_dyads(self, dyad_count: int) -> tuple[tuple[int, int, int], ...]:
+        """Member tuples of the size-3 hyperedges exactly ``dyad_count`` of
+        whose three node pairs are also hyperedges; the groups for 0..3
+        partition ``triads``."""
+        if not 0 <= dyad_count <= 3:
+            raise InputError(f"dyad_count must be in 0..3, got {dyad_count!r}")
+        return self._build_small_index()[2][dyad_count]
+
     def dyadic_neighbors(self, v: int) -> frozenset[int]:
         """Neighbors of v via size-2 hyperedges only."""
         self._check_node(v)
-        return self._build_small_index()[2].get(v, frozenset())
+        return self._build_dyadic_adjacency().get(v, frozenset())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypergraph(n={self._n}, m={self.num_edges})"

@@ -10,13 +10,16 @@ Input files are read as UTF-8, and a leading byte-order mark is ignored.
 
 Where each check runs: each file is read and tokenised in one pass (a bad
 token re-reads it line by line, only to name the line). Labels are mapped to
-ids once over the whole token list. ``_build_result`` cuts the id list into
-hyperedges and canonicalises each once; only when a hyperedge is dropped
-does it renumber the kept ones. ``Hypergraph`` then checks every
-member tuple once: at least two members, strictly increasing, within 0..n-1,
-and no two alike. The cyclic garbage collector is paused from tokenising to
-the built hypergraph. Reports serialize as canonical sorted-key JSON so
-golden files are byte-stable.
+ids once over the whole token list; an ARB label file maps each distinct
+spelling straight to its id, so each token costs one lookup.
+``_build_result`` cuts the id list into hyperedges and canonicalises each
+once; only when a hyperedge is dropped does it renumber the kept ones.
+``Hypergraph`` then checks every member tuple once: at least two members,
+strictly increasing, within 0..n-1, and no two alike. The cyclic garbage
+collector is paused from tokenising to the built hypergraph
+(``run_local_clustering`` pauses it for a whole query too; the pause
+nests). Reports serialize as canonical sorted-key JSON so golden files are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ class ParseResult:
 def _collector_paused():
     """Pause the cyclic garbage collector, if it was running, and restore it.
 
-    A parse makes a few container objects per hyperedge, none of them in a
-    cycle, and the collector would otherwise rescan the growing heap many
-    times.
+    A parse makes a few container objects per hyperedge, and a query
+    (``pipeline.run_local_clustering``) many small tuples, none of them in
+    a cycle; the collector would otherwise rescan the growing heap many
+    times. Nested pauses leave the outermost caller's state in place.
     """
     collecting = gc.isenabled()
     if collecting:
@@ -173,16 +177,16 @@ def _read_labels(path: str) -> tuple[list[int], list[int]]:
     """The distinct integer labels of a file, in order of first appearance,
     and each token's index among them, from one read and tokenising pass.
 
-    Each distinct spelling is converted to int once and every token looks
-    its int up, so the tokens share one int object per spelling instead of
-    holding one each; spellings of one integer (7, 07) map to one label.
+    Each distinct spelling is converted to int once and mapped straight to
+    its label's index, so each token costs one lookup; spellings of one
+    integer (7, 07) map to one label.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             tokens = _tokens(fh.read())
-        spellings = dict.fromkeys(tokens)
-        values = dict(zip(spellings, map(int, spellings)))
-        return _dense_ids(list(map(values.__getitem__, tokens)))
+        spellings = list(dict.fromkeys(tokens))
+        labels, ids = _dense_ids(list(map(int, spellings)))
+        return labels, list(map(dict(zip(spellings, ids)).__getitem__, tokens))
     except OSError as exc:
         raise ParseError(f"cannot read: {exc}", path=path) from exc
     except ValueError:  # a token that is no integer, or bytes that are no UTF-8

@@ -13,12 +13,18 @@ six connected patterns are:
     VI  = triad, 3 dyads
 
 No triad with 0 or 1 dyads leaves the triple disconnected, hence no pattern.
+
+The hypergraph classifies each triad once (``Hypergraph.triads_with_dyads``):
+a triadic pattern's occurrences are its triad group, so counting them reads
+the group's length and enumerating them keeps the group's triads that touch
+the ball. Patterns I and II walk the dyadic adjacency.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import chain, filterfalse
 from typing import Iterable
 
 from .core import Hypergraph
@@ -106,20 +112,12 @@ def enumerate_motifs(
             raise InputError(f"ball node {v} out of range")
     if scope != "exact":
         raise InputError(f"scope must be 'exact', got {scope!r}")
+    if pattern.has_triadic:
+        return sorted(filterfalse(B.isdisjoint, H.triads_with_dyads(pattern.dyad_count)))
     dyads = H.dyads
     triads = H.triads
     out: list[tuple[int, int, int]] = []
-
-    if pattern.has_triadic:
-        want = pattern.dyad_count
-        for mem in triads:
-            if B.isdisjoint(mem):
-                continue
-            x, y, z = mem
-            d = ((x, y) in dyads) + ((x, z) in dyads) + ((y, z) in dyads)
-            if d == want:
-                out.append(mem)
-    elif pattern is MotifPattern.II:
+    if pattern is MotifPattern.II:
         # dyadic triangles; any triangle touching B lies inside N[B]
         region = H.closed_neighborhood(B)
         for a in sorted(region):
@@ -161,32 +159,20 @@ def count_motifs(H: Hypergraph, pattern: MotifPattern) -> int:
     #I = sum_v C(d_v, 2) - 3T - #V, since the pairs of v's dyadic neighbors
     are the wedges centered at v and every triangle holds three of them.
     """
-    dyads = H.dyads
-
-    def triads_with(dyad_count: int) -> int:
-        return sum(
-            1
-            for x, y, z in H.triads
-            if ((x, y) in dyads) + ((x, z) in dyads) + ((y, z) in dyads) == dyad_count
-        )
-
     if pattern.has_triadic:
-        return triads_with(pattern.dyad_count)
+        return len(H.triads_with_dyads(pattern.dyad_count))
     nbrs = H.dyadic_neighbors
-    triangles = sum(len(nbrs(a) & nbrs(b)) for a, b in dyads) // 3
+    triangles = sum(len(nbrs(a) & nbrs(b)) for a, b in H.dyads) // 3
     if pattern is MotifPattern.II:
-        return triangles - triads_with(3)
+        return triangles - len(H.triads_with_dyads(3))
     wedges = 0
     for v in range(H.n):
         d = len(nbrs(v))
         wedges += d * (d - 1) // 2
-    return wedges - 3 * triangles - triads_with(2)
+    return wedges - 3 * triangles - len(H.triads_with_dyads(2))
 
 
 def motif_degrees(M: Iterable[tuple[int, int, int]]) -> dict[int, int]:
     """d_mu(v): occurrences containing v, for every node of some occurrence;
     set volume d_mu(S) is the sum of the member values."""
-    counts: Counter[int] = Counter()
-    for triple in M:
-        counts.update(triple)
-    return dict(counts)
+    return dict(Counter(chain.from_iterable(M)))

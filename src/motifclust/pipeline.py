@@ -18,6 +18,10 @@ its (phi, cut, block-0 size) key; the smallest key across balls wins, the
 earlier ball on ties. The winner alone is then recounted: its cut with
 ``cut_net`` and its d_mu(C) straight from its occurrences
 (``motif_degrees``). A cut or phi that disagrees raises InternalError.
+
+``run_local_clustering`` runs with the cyclic garbage collector paused (and
+restores the caller's state): a query makes no reference cycles, and the
+collector would otherwise rescan the many small tuples it allocates.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ class RunConfig:
                 f"eps range must satisfy 0 < eps_min <= eps_max <= 1, "
                 f"got [{self.eps_min}, {self.eps_max}]"
             )
+        MotifPattern.from_spec(self.motif)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise InputError(f"report directory does not exist: {self.output}")
 
@@ -183,6 +188,7 @@ def _coerce_label(lab: str, index: dict):
     return num if num in index else None
 
 
+@mio._collector_paused()
 def run_local_clustering(
     config: RunConfig, return_details: bool = False
 ) -> mio.ClusterReport | tuple[mio.ClusterReport, RunDetails]:

@@ -1,10 +1,16 @@
 import random
+import sys
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
 from motifclust import Hypergraph, InputError, bfs_balls, core_ball, nbr_core_decomposition
 from motifclust.testing import brute_nbr_core_numbers, random_hypergraph, synthetic_contact_edges
 from references import reference_nbr_core_decomposition
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import ring_contact_edges  # noqa: E402
 
 
 def test_core_numbers_single_triadic_edge():
@@ -54,6 +60,43 @@ def test_core_decomposition_matches_the_tuple_keyed_reference_beyond_the_oracle(
     for H in graphs:
         assert H.n > 12
         assert nbr_core_decomposition(H) == reference_nbr_core_decomposition(H)
+
+
+def test_seed_bounded_peel_is_the_full_decomposition_truncated_at_the_seed_level():
+    # given a seed, the peel stops once a seed node is queued; every core
+    # number is then min(core(v), k*) with k* the seed's level, and
+    # core_ball, which reads only levels up to k*, picks the same ball
+    rng = random.Random(2718)
+    graphs = [
+        random_hypergraph(rng, rng.randint(13, 30), 0.12, 0.04, big_edge_p=0.002)
+        for _ in range(12)
+    ]
+    graphs += [Hypergraph.from_members(synthetic_contact_edges(seed, n_edges=2000)) for seed in (1, 2, 3)]
+    # the ring that test_golden parses, with its nodes numbered as the parser does
+    edges, _hill = ring_contact_edges(5, n_groups=36, edges_per_group=150)
+    ids = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
+    graphs.append(Hypergraph.from_members([[ids[v] for v in e] for e in edges]))
+    assert graphs[-1].n == 761
+    truncated = 0
+    for H in graphs:
+        full = nbr_core_decomposition(H)
+        for ei in rng.sample(range(H.num_edges), min(H.num_edges, 12)):
+            members = H.members[ei]
+            k_star = min(full.core_number[v] for v in members)
+            got = nbr_core_decomposition(H, members)
+            assert got.max_core == k_star
+            assert got.core_number == tuple(min(c, k_star) for c in full.core_number)
+            truncated += k_star < full.max_core
+            for min_size in (len(members), 20, 100):
+                assert core_ball(H, members, min_size) == core_ball(H, members, min_size, full)
+    assert truncated > 20
+
+
+def test_seed_bounded_peel_checks_the_seed_nodes():
+    H = Hypergraph.from_members([[0, 1], [1, 2]])
+    assert nbr_core_decomposition(H, ()) == nbr_core_decomposition(H)
+    with pytest.raises(InputError):
+        nbr_core_decomposition(H, [1, 3])
 
 
 def test_core_ball_accepts_first_component():

@@ -2,8 +2,10 @@
 referee, each spelled exactly as run.py spells it, positional arguments
 included. The benchmark's files are frozen between benchmark changes, so a
 signature change that would break it must fail here first.
-perfbench/test_perfbench.py covers the names its tracer patches, and
-test_aux_views_the_tracer_reads the aux attributes its tracer reads.
+perfbench/test_perfbench.py covers the names its tracer patches,
+test_aux_views_the_tracer_reads the aux attributes its tracer reads, and
+test_core_queries_call_the_decomposition_the_tracer_wraps that a query
+reaches the decomposition through the name the tracer wraps.
 """
 
 import random
@@ -101,3 +103,40 @@ def test_referee_calls_on_the_global_enumeration():
             assert phi == (Fraction(cut, min(volume, rest)) if volume else 0)
             checked += cut > 0
     assert checked > 20
+
+
+def test_core_queries_call_the_decomposition_the_tracer_wraps(monkeypatch, tmp_path):
+    # perfbench/tracing.py times balls.core_decomposition by wrapping
+    # motifclust.balls.nbr_core_decomposition as a module attribute: a core
+    # query must call it through that name, once, with the seed's members,
+    # and a bfs query must not call it
+    import motifclust.balls
+
+    calls = []
+    real = motifclust.balls.nbr_core_decomposition
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(motifclust.balls, "nbr_core_decomposition", counting)
+    edges = synthetic_contact_edges(n_edges=500, n_nodes=44, n_groups=2, seed=5)
+    prefix = str(tmp_path / "contract")
+    write_arb_dataset(edges, f"{prefix}-nverts.txt", f"{prefix}-simplices.txt")
+    H = parse_arb_simplices(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt").hypergraph
+    for edge in (0, H.num_edges - 1):
+        for method in ("core", "bfs"):
+            config = RunConfig(
+                input=prefix, format="arb", seed_edge=f"index:{edge}", motif="IV",
+                method=method, beta=2, min_ball=20,
+            )
+            calls.clear()
+            assert run_local_clustering(config).status == "ok"
+            if method == "bfs":
+                assert calls == []
+                continue
+            assert len(calls) == 1
+            (graph, seed), kwargs = calls[0]
+            assert kwargs == {}
+            assert graph.members == H.members
+            assert tuple(seed) == H.members[edge]

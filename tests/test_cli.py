@@ -320,3 +320,35 @@ def test_bench_command_bad_output_path(tmp_path, paths):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert not (tmp_path / "bench.csv").exists()
     assert not (tmp_path / "reports").exists()  # a missing CSV directory stops every run
+
+
+def test_bench_command_rejects_an_unknown_motif_before_any_run(tmp_path, monkeypatch):
+    # the motif is checked with the other fields of each entry, before the
+    # first input is read: exit 2, one line, no CSV and no report directory
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+
+    def load_input(config):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr("motifclust.pipeline.load_input", load_input)
+    good = {"input": str(data), "motif": "3", "seed_edge": "index:0", "beta": 2}
+    result = _invoke_bench(
+        tmp_path, [good, dict(good, motif="VII")], csv="bench.csv", output_dir="reports"
+    )
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error: bad run entry")
+    assert "unknown motif pattern 'VII'" in result.stderr
+    assert not (tmp_path / "bench.csv").exists()
+    assert not (tmp_path / "reports").exists()
+
+    result = CliRunner().invoke(
+        main,
+        ["cluster", "--input", str(data), "--motif", "VII", "--seed-edge", "index:0",
+         "--output", str(tmp_path / "r.json")],
+    )
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "Error: unknown motif pattern 'VII' (expected 1..6 or I..VI)"
+    ]

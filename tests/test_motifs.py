@@ -153,3 +153,42 @@ def test_motif_degrees():
     assert degrees[2] == 2 and degrees[0] == 1
     assert motif_degrees([]) == {}
     assert sum(motif_degrees(M).values()) == 3 * len(M)
+
+
+def test_triads_with_dyads_partitions_the_triads_by_classification():
+    # the index classifies each triad once; groups 0..3 hold every triad
+    # once, each in the group of its pattern (III..VI)
+    rng = random.Random(59)
+    graphs = [random_hypergraph(rng, rng.randint(4, 12), 0.3, 0.15, big_edge_p=0.02) for _ in range(20)]
+    graphs.append(Hypergraph.from_members(synthetic_contact_edges(n_edges=2000)))
+    checked = [0] * 4
+    for H in graphs:
+        groups = [H.triads_with_dyads(d) for d in range(4)]
+        flat = [t for group in groups for t in group]
+        assert len(flat) == len(set(flat))
+        assert set(flat) == H.triads
+        for d, group in enumerate(groups):
+            pattern = MotifPattern.from_flags(True, d)
+            assert all(classify_triple(H, *t) is pattern for t in group)
+            checked[d] += len(group)
+    assert min(checked) > 0
+    for bad in (-1, 4):
+        with pytest.raises(InputError):
+            graphs[0].triads_with_dyads(bad)
+
+
+def test_motif_degrees_match_the_per_triple_count_in_value_and_key_order():
+    def per_triple(M):
+        counts = {}
+        for triple in M:
+            for v in triple:
+                counts[v] = counts.get(v, 0) + 1
+        return counts
+
+    rng = random.Random(61)
+    for _ in range(50):
+        n = rng.randint(3, 40)
+        M = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(rng.randint(0, 60))]
+        got = motif_degrees(M)
+        assert type(got) is dict
+        assert list(got.items()) == list(per_triple(M).items())

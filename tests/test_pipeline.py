@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 import motifclust.pipeline as mpipe
 from motifclust import (
+    Hypergraph,
     InputError,
     InternalError,
     MotifPattern,
@@ -254,3 +256,70 @@ def test_seed_larger_than_the_block_bound_is_an_input_error(tmp_path):
     )
     with pytest.raises(InputError, match="5-node seed .* 5-node ball .* --min-ball or --eps-min"):
         run_local_clustering(config)
+
+
+def test_a_query_runs_with_the_collector_paused_and_restores_its_state(monkeypatch, tmp_path):
+    # a query makes no reference cycles, so it runs with the cyclic
+    # collector off; afterwards it is on or off as the caller left it, also
+    # when the query fails with an InputError
+    seen = []
+
+    def spy(name):
+        real = getattr(mpipe, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mpipe, name, call)
+
+    for name in ("resolve_seed_edges", "core_ball", "bfs_balls", "enumerate_motifs", "partition_search"):
+        spy(name)
+    was = gc.isenabled()
+    try:
+        for caller_collects in (True, False):
+            if caller_collects:
+                gc.enable()
+            else:
+                gc.disable()
+            for method in ("core", "bfs"):
+                report = run_local_clustering(toy_config(tmp_path, method=method, beta=2))
+                assert report.status == "ok"
+                assert gc.isenabled() is caller_collects
+            with pytest.raises(InputError, match="out of range"):
+                run_local_clustering(toy_config(tmp_path, seed_edge="index:9"))
+            assert gc.isenabled() is caller_collects
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    names = {name for name, _ in seen}
+    assert names == {"resolve_seed_edges", "core_ball", "bfs_balls", "enumerate_motifs", "partition_search"}
+    assert not any(enabled for _, enabled in seen)
+
+
+def test_triadic_queries_never_build_the_dyadic_adjacency(monkeypatch, tmp_path):
+    # patterns III..VI read the classified triads alone; only I and II ask
+    # for dyadic neighbors
+    built = []
+    real = Hypergraph._build_dyadic_adjacency
+
+    def build(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Hypergraph, "_build_dyadic_adjacency", build)
+    data = tmp_path / "contact.txt"
+    data.write_text(
+        "".join(" ".join(map(str, e)) + "\n" for e in synthetic_contact_edges(n_edges=500, n_nodes=44))
+    )
+    for pattern in MotifPattern:
+        for method in ("core", "bfs"):
+            config = RunConfig(
+                input=str(data), seed_edge="index:0", motif=pattern, method=method,
+                beta=2, min_ball=20,
+            )
+            built.clear()
+            assert run_local_clustering(config).status == "ok"
+            assert bool(built) is not pattern.has_triadic, (pattern, method)
