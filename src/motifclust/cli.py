@@ -34,16 +34,16 @@ def main() -> None:
 
 @main.command()
 @click.option("--input", "input_path", required=True, help="Dataset path (edge list file, or ARB prefix/directory).")
-@click.option("--format", "fmt", type=click.Choice(["edgelist", "arb"]), default="edgelist", show_default=True)
-@click.option("--method", type=click.Choice(["core", "bfs"]), default="bfs", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["edgelist", "arb"]), default=RunConfig.format, show_default=True)
+@click.option("--method", type=click.Choice(["core", "bfs"]), default=RunConfig.method, show_default=True)
 @click.option("--motif", required=True, help="Motif pattern, 1..6 (or I..VI).")
 @click.option("--seed-edge", required=True, help="Seed selector: index:N, nodes:a,b,c, a bare comma list, or random:1.")
-@click.option("--alpha", type=int, default=3, show_default=True, help="BFS ball repetitions.")
-@click.option("--beta", type=int, default=80, show_default=True, help="Partitioning restarts per ball.")
-@click.option("--min-ball", type=int, default=100, show_default=True, help="Minimum ball size.")
-@click.option("--eps-min", type=float, default=0.03, show_default=True)
-@click.option("--eps-max", type=float, default=0.5, show_default=True)
-@click.option("--rng-seed", type=int, default=0, show_default=True)
+@click.option("--alpha", type=int, default=RunConfig.alpha, show_default=True, help="BFS ball repetitions.")
+@click.option("--beta", type=int, default=RunConfig.beta, show_default=True, help="Partitioning restarts per ball.")
+@click.option("--min-ball", type=int, default=RunConfig.min_ball, show_default=True, help="Minimum ball size.")
+@click.option("--eps-min", type=float, default=RunConfig.eps_min, show_default=True)
+@click.option("--eps-max", type=float, default=RunConfig.eps_max, show_default=True)
+@click.option("--rng-seed", type=int, default=RunConfig.rng_seed, show_default=True)
 @click.option("--output", required=True, help="Report path (JSON), or '-' for stdout.")
 @click.option("--dataset", default=None, help="Dataset name for the report (defaults to the input filename).")
 def cluster(

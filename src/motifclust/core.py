@@ -6,9 +6,9 @@ at least two members, all non-negative ints below n, and no two alike
 (ingestion merges duplicates before construction). Its constructor checks
 every hyperedge once, in one loop over them; it takes a canonical tuple as
 is and canonicalises any other member collection first. ``Hyperedge`` is the
-public view of one hyperedge, built on demand by ``edge(i)`` and ``edges``;
-no hot path reads it. Everything downstream (ball selection, motif
-enumeration, partitioning) reads this object without mutating it.
+public view of one hyperedge, built on demand by ``edge(i)``; no hot path
+reads it. Everything downstream (ball selection, motif enumeration,
+partitioning) reads this object without mutating it.
 ``Hypergraph.bfs`` is the one traversal: connected components, closed
 neighborhoods and the BFS balls of phase one all read its layers.
 
@@ -149,11 +149,6 @@ class Hypergraph:
     def members(self) -> tuple[Members, ...]:
         """Every hyperedge's canonical member tuple, by hyperedge index."""
         return self._members
-
-    @property
-    def edges(self) -> tuple[Hyperedge, ...]:
-        """A ``Hyperedge`` view of every hyperedge, built on each call."""
-        return tuple(map(Hyperedge, self._members))
 
     def edge(self, i: int) -> Hyperedge:
         if not 0 <= i < len(self._members):

@@ -1,5 +1,12 @@
 """End-to-end orchestration of the four phases, plus the benchmark harness.
 
+A run first loads its input: it validates the config, parses the input and
+resolves the seed selector into (seed edge, rng seed) queries
+(``resolve_seed_edges`` owns that rule). Each query then runs on the loaded
+hypergraph. ``run_local_clustering`` answers one query; ``run_benchmark``
+loads each run entry once and answers all of its queries from that load, so
+they share the hypergraph and its lazy small-edge index.
+
 Phase 1 selects one core ball or up to alpha BFS balls; for each ball, phase 2
 enumerates the chosen motif pattern, phase 3 contracts the occurrences into the
 auxiliary hypergraph, and phase 4 searches beta randomized-imbalance partitions.
@@ -19,9 +26,10 @@ earlier ball on ties. The winner alone is then recounted: its cut with
 ``cut_net`` and its d_mu(C) straight from its occurrences
 (``motif_degrees``). A cut or phi that disagrees raises InternalError.
 
-``run_local_clustering`` runs with the cyclic garbage collector paused (and
-restores the caller's state): a query makes no reference cycles, and the
-collector would otherwise rescan the many small tuples it allocates.
+``run_local_clustering`` and ``run_benchmark`` run with the cyclic garbage
+collector paused (and restore the caller's state): a query makes no
+reference cycles, and the collector would otherwise rescan the many small
+tuples it allocates.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import io as mio
@@ -132,10 +140,16 @@ def load_input(config: RunConfig) -> tuple[mio.ParseResult, str]:
 
 
 def resolve_seed_edges(
-    parsed: mio.ParseResult, spec: str, rng: random.Random
-) -> list[int]:
-    """Seed selector: "index:N", "random:K", "nodes:a,b,c", a bare comma list
-    of labels, or a bare edge index."""
+    parsed: mio.ParseResult, spec: str, rng_seed: int
+) -> list[tuple[int, int]]:
+    """The (seed edge index, rng seed) queries a seed selector names.
+
+    "random:K" draws K distinct hyperedges from ``Random(rng_seed)``, sorts
+    them, then draws one ``randrange(2**63)`` rng seed per edge from the same
+    stream. Every other selector names one edge, queried with ``rng_seed``
+    itself: "index:N" or a bare N (an integer only), "nodes:a,b,c" or a bare
+    comma list of labels.
+    """
     H = parsed.hypergraph
     text = str(spec).strip()
     if text.startswith("random:"):
@@ -147,21 +161,23 @@ def resolve_seed_edges(
             raise InputError(f"random seed count must be >= 1, got {k}")
         if k > H.num_edges:
             raise InputError(f"asked for {k} random seeds but only {H.num_edges} hyperedges exist")
-        return sorted(rng.sample(range(H.num_edges), k))  # k distinct hyperedges
-    if text.startswith("index:"):
-        text = text.split(":", 1)[1]
+        rng = random.Random(rng_seed)
+        edges = sorted(rng.sample(range(H.num_edges), k))  # k distinct hyperedges
+        return [(edge, rng.randrange(2**63)) for edge in edges]
     if text.startswith("nodes:"):
         labels = [t for t in text.split(":", 1)[1].split(",") if t]
-    elif "," in text:
+    elif "," in text and not text.startswith("index:"):
         labels = [t for t in text.split(",") if t]
     else:
         try:
-            idx = int(text)
+            idx = int(text.removeprefix("index:"))
         except ValueError:
-            raise InputError(f"cannot parse seed selector {spec!r}") from None
+            raise InputError(
+                f"cannot parse seed selector {spec!r}; index: takes one integer"
+            ) from None
         if not 0 <= idx < H.num_edges:
             raise InputError(f"seed edge index {idx} out of range [0, {H.num_edges})")
-        return [idx]
+        return [(idx, rng_seed)]
     index = parsed.label_index()
     ids = []
     for lab in labels:
@@ -177,7 +193,7 @@ def resolve_seed_edges(
     edge = H.edge_index_of(ids)
     if edge is None:
         raise InputError(f"seed nodes {labels!r} do not form a hyperedge of the dataset")
-    return [edge]
+    return [(edge, rng_seed)]
 
 
 def _coerce_label(lab: str, index: dict):
@@ -188,27 +204,29 @@ def _coerce_label(lab: str, index: dict):
     return num if num in index else None
 
 
-@mio._collector_paused()
-def run_local_clustering(
-    config: RunConfig, return_details: bool = False
-) -> mio.ClusterReport | tuple[mio.ClusterReport, RunDetails]:
+def _load(config: RunConfig) -> tuple[mio.ParseResult, str, list[tuple[int, int]], float]:
+    """Validate the config, load its input and resolve its seed selector:
+    (parsed input, dataset name, (seed edge, rng seed) queries, load seconds)."""
     config.validate()
-    pattern = MotifPattern.from_spec(config.motif)
-    rng = random.Random(config.rng_seed)
-    times = {phase: 0.0 for phase in _PHASES}
-    t_start = time.perf_counter()
-
     t0 = time.perf_counter()
     parsed, dataset = load_input(config)
+    queries = resolve_seed_edges(parsed, config.seed_edge, config.rng_seed)
+    return parsed, dataset, queries, time.perf_counter() - t0
+
+
+def _query(
+    config: RunConfig, parsed: mio.ParseResult, dataset: str, ingest: float,
+    seed_index: int, rng_seed: int,
+) -> tuple[mio.ClusterReport, RunDetails]:
+    """Phases 1-4 for one seed edge on a loaded input. The report's ingest
+    is the load time ``ingest``, and its total is ingest plus this query."""
+    pattern = MotifPattern.from_spec(config.motif)
+    rng = random.Random(rng_seed)
+    times = {phase: 0.0 for phase in _PHASES}
+    times["ingest"] = ingest
+    t_start = time.perf_counter()
     H = parsed.hypergraph
-    seeds = resolve_seed_edges(parsed, config.seed_edge, rng)
-    if len(seeds) != 1:
-        raise InputError(
-            "run_local_clustering needs exactly one seed; use the bench harness for random:k"
-        )
-    seed_index = seeds[0]
     seed_members = H.members[seed_index]
-    times["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if config.method == "core":
@@ -270,7 +288,7 @@ def run_local_clustering(
         dataset=dataset,
         method=config.method,
         motif=pattern.name,
-        rng_seed=config.rng_seed,
+        rng_seed=rng_seed,
         params=params,
     )
     if winner is None:
@@ -307,13 +325,24 @@ def run_local_clustering(
         details.aux = aux
         details.blocks = blocks
         details.phi = phi
-    times["total"] = time.perf_counter() - t_start
+    times["total"] = ingest + time.perf_counter() - t_start
     report.timings = {k: round(v, 6) for k, v in times.items()}
     if config.output:
         mio.write_report(report, config.output)
-    if return_details:
-        return report, details
-    return report
+    return report, details
+
+
+@mio._collector_paused()
+def run_local_clustering(
+    config: RunConfig, return_details: bool = False
+) -> mio.ClusterReport | tuple[mio.ClusterReport, RunDetails]:
+    parsed, dataset, queries, ingest = _load(config)
+    if len(queries) != 1:
+        raise InputError(
+            "run_local_clustering needs exactly one seed; use the bench harness for random:k"
+        )
+    report, details = _query(config, parsed, dataset, ingest, *queries[0])
+    return (report, details) if return_details else report
 
 
 @dataclass
@@ -323,28 +352,19 @@ class BenchmarkResult:
     failures: list[tuple[str, str, str]]  # (dataset, method, error)
 
 
-def expand_bench_config(config: RunConfig) -> list[RunConfig]:
-    """Expand a random:k seed selector into k single-seed configs with derived
-    rng seeds; other selectors pass through unchanged."""
-    spec = str(config.seed_edge).strip()
-    if not spec.startswith("random:"):
-        return [config]
-    master = random.Random(config.rng_seed)
-    parsed, _ = load_input(config)
-    indices = resolve_seed_edges(parsed, spec, master)
-    out = []
-    for idx in indices:
-        out.append(
-            replace(config, seed_edge=f"index:{idx}", rng_seed=master.randrange(2**63))
-        )
-    return out
-
-
+@mio._collector_paused()
 def run_benchmark(
     configs: list[RunConfig], output_dir: str | None = None
 ) -> BenchmarkResult:
-    """Run every config (random:k selectors expand to k runs), producing one
-    report per run plus aggregate rows with a per-method Overall mean row."""
+    """Run every config, producing one report per query plus aggregate rows
+    with a per-method Overall mean row.
+
+    Each config's input is loaded once, and all of its queries (k of them
+    for random:k, see ``resolve_seed_edges``) run on that load. A report's
+    ``ingest`` is that load time and its ``total`` is ingest plus its own
+    phases, so a row's ``time_s`` is what one ``cluster`` call costs. A
+    config that fails to load gives one failed row; a query that fails
+    gives its own failed row, and later queries and configs still run."""
     if not configs:
         raise InputError("benchmark needs at least one run config")
     rows: list[dict] = []
@@ -363,15 +383,15 @@ def run_benchmark(
     written: set[str] = set()
     for config in configs:
         try:
-            expanded = expand_bench_config(config)
+            parsed, dataset, queries, ingest = _load(config)
         except Exception as exc:  # noqa: BLE001 - per-row failure, not fatal
             fail(config, exc)
             continue
-        for single in expanded:
+        for seed_index, rng_seed in queries:
             try:
-                report = run_local_clustering(single)
+                report, _ = _query(config, parsed, dataset, ingest, seed_index, rng_seed)
             except Exception as exc:  # noqa: BLE001
-                fail(single, exc)
+                fail(config, exc)
                 continue
             if output_dir:
                 path = os.path.join(
@@ -380,12 +400,12 @@ def run_benchmark(
                     f"__seed{report.params['seed_edge_index']}.json",
                 )
                 if path in written:
-                    fail(single, InputError(f"report {path} was already written in this bench run"))
+                    fail(config, InputError(f"report {path} was already written in this bench run"))
                     continue
                 try:
                     mio.write_report(report, path)
                 except ParseError as exc:  # the report is lost, so the run failed
-                    fail(single, exc)
+                    fail(config, exc)
                     continue
                 written.add(path)
             reports.append(report)

@@ -39,13 +39,13 @@ def reference_nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
     n = H.n
     if n == 0:
         raise InputError("core decomposition of an empty hypergraph")
-    edges = H.edges
+    edges = H.members
     alive = bytearray([1]) * n
     edge_alive = bytearray([1]) * H.num_edges
     # pair_count[(u, w)] = number of surviving hyperedges containing both
     pair_count: dict[tuple[int, int], int] = {}
-    for e in edges:
-        for pair in combinations(e.members, 2):
+    for mem in edges:
+        for pair in combinations(mem, 2):
             pair_count[pair] = pair_count.get(pair, 0) + 1
     nbr_count = [0] * n
     for a, b in pair_count:
@@ -68,7 +68,7 @@ def reference_nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
                 if not edge_alive[ei]:
                     continue
                 edge_alive[ei] = 0
-                mem = edges[ei].members
+                mem = edges[ei]
                 for pair in combinations(mem, 2):
                     left = pair_count[pair] - 1
                     pair_count[pair] = left

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from motifclust.cli import main
+from motifclust import RunConfig
+from motifclust.cli import cluster, main
 
 
 def write_toy(path):
@@ -93,6 +95,20 @@ def test_cluster_command_bad_random_count_exit_2(tmp_path):
     )
     assert result.exit_code == 2
     assert "cannot parse random seed count in 'random:x'" in result.output
+
+
+def test_cluster_option_defaults_are_the_run_config_defaults():
+    # every cluster option is a RunConfig field, and every optional one
+    # defaults to the field's default
+    field_of = {"input_path": "input", "fmt": "format"}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    options = {field_of.get(p.name, p.name): p for p in cluster.params}
+    assert options.keys() == defaults.keys()
+    optional = {name: p.default for name, p in options.items() if not p.required}
+    assert set(optional) == {"format", "method", "alpha", "beta", "min_ball", "eps_min",
+                             "eps_max", "rng_seed", "dataset"}
+    for name, default in optional.items():
+        assert default == defaults[name] and type(default) is type(defaults[name]), name
 
 
 def run_cli(*args):

@@ -59,14 +59,14 @@ def test_edge_index_of_round_trip_randomized():
     ]
     graphs.append(Hypergraph.from_members(synthetic_contact_edges(n_edges=2000)))
     for H in graphs:
-        for i, e in enumerate(H.edges):
-            members = list(e.members)
+        for i, mem in enumerate(H.members):
+            members = list(mem)
             assert H.edge_index_of(members) == i
             rng.shuffle(members)
             assert H.edge_index_of(members) == i
             assert H.edge_index_of(members + members[:2]) == i
             if len(members) == 3:
-                for pair in combinations(e.members, 2):
+                for pair in combinations(mem, 2):
                     if pair not in H.dyads:
                         assert H.edge_index_of(pair) is None
 
@@ -111,12 +111,10 @@ def test_constructor_canonicalises_raw_members_and_keeps_canonical_ones():
 
 def test_edge_views_equal_the_member_tuples():
     H = Hypergraph.from_members(synthetic_contact_edges(n_edges=300, n_nodes=44, n_groups=2))
-    edges = H.edges
-    assert all(type(e) is Hyperedge for e in edges)
-    assert tuple(e.members for e in edges) == H.members
-    for i in (0, 1, H.num_edges - 1):
-        assert H.edge(i) == Hyperedge(H.members[i])
-        assert H.edge(i).members is H.members[i]
+    for i, mem in enumerate(H.members):
+        assert type(H.edge(i)) is Hyperedge
+        assert H.edge(i) == Hyperedge(mem)
+        assert H.edge(i).members is mem
 
 
 def test_duplicate_edges_rejected_at_construction():
@@ -160,7 +158,7 @@ def test_handshake_identity_randomized():
     rng = random.Random(7)
     for _ in range(20):
         H = random_hypergraph(rng, rng.randint(4, 10), 0.25, 0.1)
-        assert sum(H.degree(v) for v in range(H.n)) == sum(len(e) for e in H.edges)
+        assert sum(H.degree(v) for v in range(H.n)) == sum(len(mem) for mem in H.members)
 
 
 def test_connected_component_idempotent_randomized():

@@ -20,7 +20,7 @@ def test_parse_edge_list_basic():
     result = parse_text("0 1 2\n0 1\n")
     H = result.hypergraph
     assert H.n == 3 and H.num_edges == 2
-    members = {tuple(result.labels[v] for v in e.members) for e in H.edges}
+    members = {tuple(result.labels[v] for v in mem) for mem in H.members}
     assert members == {("0", "1", "2"), ("0", "1")}
 
 
@@ -88,7 +88,7 @@ def test_parse_edge_list_comments_commas_and_inline_dedup():
     result = parse_text("# header\n a,b , c\nb b a\n")
     H = result.hypergraph
     assert H.num_edges == 2
-    members = {tuple(sorted(result.labels[v] for v in e.members)) for e in H.edges}
+    members = {tuple(sorted(result.labels[v] for v in mem)) for mem in H.members}
     assert members == {("a", "b", "c"), ("a", "b")}
 
 
@@ -100,8 +100,8 @@ def test_parse_edge_list_order_insensitive_cleaning():
         rng.shuffle(lines)
         result = parse_text("\n".join(lines) + "\n")
         members = sorted(
-            tuple(sorted(result.labels[v] for v in e.members))
-            for e in result.hypergraph.edges
+            tuple(sorted(result.labels[v] for v in mem))
+            for mem in result.hypergraph.members
         )
         shape = (members, result.merged_duplicates)
         if baseline is None:
@@ -125,7 +125,7 @@ def test_parse_arb_simplices(tmp_path):
     result = parse_arb_simplices(nverts, simplices)
     H = result.hypergraph
     assert H.n == 3 and H.num_edges == 2
-    members = {tuple(sorted(result.labels[v] for v in e.members)) for e in H.edges}
+    members = {tuple(sorted(result.labels[v] for v in mem)) for mem in H.members}
     assert members == {(1, 2, 3), (1, 2)}
 
 
@@ -282,7 +282,7 @@ def _outcome(parse, *args):
     H = result.hypergraph
     return (
         result.labels,
-        [e.members for e in H.edges],
+        list(H.members),
         H._incidence,
         H.n,
         result.dropped_small,
@@ -413,9 +413,9 @@ def test_edge_list_writer_round_trip(tmp_path):
     path = tmp_path / "dump.txt"
     write_edge_list(H, labels, path)
     back = parse_edge_list(path)
-    original = sorted(tuple(sorted(labels[v] for v in e.members)) for e in H.edges)
+    original = sorted(tuple(sorted(labels[v] for v in mem)) for mem in H.members)
     parsed = sorted(
-        tuple(sorted(back.labels[v] for v in e.members)) for e in back.hypergraph.edges
+        tuple(sorted(back.labels[v] for v in mem)) for mem in back.hypergraph.members
     )
     assert original == parsed
 

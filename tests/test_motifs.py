@@ -101,7 +101,7 @@ def test_enumerate_on_a_ball_matches_brute_force_randomized():
         for ball in (frozenset(seed), random_ball_nodes(rng, H, seed)):
             for pattern in MotifPattern:
                 expected = [t for t in brute_motifs(H, pattern) if not ball.isdisjoint(t)]
-                assert enumerate_motifs(H, ball, pattern) == expected, (H.edges, ball, pattern)
+                assert enumerate_motifs(H, ball, pattern) == expected, (H.members, ball, pattern)
 
 
 def test_enumerate_matches_brute_force_all_patterns():
@@ -129,7 +129,7 @@ def test_count_motifs_equals_global_enumeration():
     for H in graphs:
         for pattern in MotifPattern:
             expected = len(enumerate_motifs(H, range(H.n), pattern))
-            assert count_motifs(H, pattern) == expected, (H.edges, pattern)
+            assert count_motifs(H, pattern) == expected, (H.members, pattern)
 
 
 def test_pattern_partition_randomized():

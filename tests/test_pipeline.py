@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import random
 from fractions import Fraction
@@ -18,9 +19,10 @@ from motifclust import (
     run_local_clustering,
 )
 from motifclust.motifs import enumerate_motifs
-from motifclust.pipeline import expand_bench_config, resolve_seed_edges
+import motifclust.io as mio
+from motifclust.pipeline import resolve_seed_edges
 from motifclust.io import parse_edge_list
-from motifclust.testing import synthetic_contact_edges
+from motifclust.testing import synthetic_contact_edges, write_arb_dataset
 
 
 TOY = "a b v\nv c d\n"
@@ -143,27 +145,142 @@ def test_config_validation(tmp_path):
 
 
 def test_resolve_seed_edges_forms():
-    parsed = parse_edge_list(__import__("io").StringIO("a b\nb c d\n"))
-    rng = random.Random(0)
-    assert resolve_seed_edges(parsed, "index:1", rng) == [1]
-    assert resolve_seed_edges(parsed, "1", rng) == [1]
-    assert resolve_seed_edges(parsed, "nodes:b,c,d", rng) == [1]
-    assert resolve_seed_edges(parsed, "a,b", rng) == [0]
-    picks = resolve_seed_edges(parsed, "random:2", rng)
-    assert sorted(picks) == [0, 1]  # distinct draws
+    parsed = parse_edge_list(io.StringIO("a b\nb c d\n"))
+    # every selector but random:k names one edge, queried with the rng seed itself
+    assert resolve_seed_edges(parsed, "index:1", 7) == [(1, 7)]
+    assert resolve_seed_edges(parsed, "1", 7) == [(1, 7)]
+    assert resolve_seed_edges(parsed, "nodes:b,c,d", 7) == [(1, 7)]
+    assert resolve_seed_edges(parsed, "a,b", 7) == [(0, 7)]
+    picks = resolve_seed_edges(parsed, "random:2", 7)
+    assert [edge for edge, _ in picks] == [0, 1]  # distinct draws, sorted
     with pytest.raises(InputError):
-        resolve_seed_edges(parsed, "nodes:a,zzz", rng)
+        resolve_seed_edges(parsed, "nodes:a,zzz", 7)
     with pytest.raises(InputError):
-        resolve_seed_edges(parsed, "random:99", rng)
+        resolve_seed_edges(parsed, "random:99", 7)
+    with pytest.raises(InputError, match="random seed count must be >= 1, got 0"):
+        resolve_seed_edges(parsed, "random:0", 7)
 
 
-def test_expand_bench_config(tmp_path):
-    config = toy_config(tmp_path, seed_edge="random:2", rng_seed=3)
-    expanded = expand_bench_config(config)
-    assert len(expanded) == 2
-    assert all(c.seed_edge.startswith("index:") for c in expanded)
-    assert expand_bench_config(config) == expanded  # deterministic
-    assert expand_bench_config(toy_config(tmp_path)) == [toy_config(tmp_path)]
+def test_random_k_draws_k_sorted_edges_then_one_rng_seed_per_edge():
+    parsed = parse_edge_list(io.StringIO("".join(f"n{i} n{i + 1}\n" for i in range(20))))
+    queries = resolve_seed_edges(parsed, "random:5", 3)
+    rng = random.Random(3)
+    edges = sorted(rng.sample(range(20), 5))
+    assert queries == [(edge, rng.randrange(2**63)) for edge in edges]
+    assert resolve_seed_edges(parsed, "random:5", 3) == queries  # deterministic
+
+
+@pytest.mark.parametrize("spec", ["index:2,3,4", "index:nodes:2,3,4"])
+def test_index_selector_takes_an_integer_only(spec):
+    parsed = parse_edge_list(io.StringIO("1 2\n2 3 4\n5 6\n"))
+    assert resolve_seed_edges(parsed, "2,3,4", 0) == [(1, 0)]
+    assert resolve_seed_edges(parsed, "nodes:2,3,4", 0) == [(1, 0)]
+    with pytest.raises(InputError, match="index: takes one integer"):
+        resolve_seed_edges(parsed, spec, 0)
+
+
+def contact_arb(tmp_path, name="contact"):
+    """A 500-hyperedge contact dataset as an ARB pair in its own directory;
+    returns the directory, whose basename is the file prefix."""
+    root = tmp_path / name
+    root.mkdir()
+    edges = synthetic_contact_edges(n_edges=500, n_nodes=44)
+    write_arb_dataset(edges, root / f"{name}-nverts.txt", root / f"{name}-simplices.txt")
+    return root
+
+
+def contact_config(root, **overrides):
+    base = dict(
+        input=str(root), format="arb", seed_edge="random:3", motif="III",
+        method="core", beta=2, min_ball=20, rng_seed=11,
+    )
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def test_arb_input_as_a_directory_with_a_nodes_selector_on_integer_labels(tmp_path):
+    # the directory's basename is the file prefix and the dataset name; the
+    # integer labels of an ARB file are named by their decimal spelling
+    root = contact_arb(tmp_path)
+    parsed = mio.parse_arb_simplices(*mpipe.arb_paths(str(root)))
+    members = parsed.hypergraph.members[4]
+    selector = "nodes:" + ",".join(str(parsed.labels[v]) for v in members)
+    report = run_local_clustering(contact_config(root, seed_edge=selector))
+    assert report.status == "ok" and report.dataset == "contact"
+    assert report.params["seed_edge_index"] == 4
+
+
+def test_missing_arb_file_is_an_input_error(tmp_path):
+    root = contact_arb(tmp_path)
+    (root / "contact-simplices.txt").unlink()
+    with pytest.raises(InputError, match="ARB input file not found: .*contact-simplices.txt"):
+        run_local_clustering(contact_config(root, seed_edge="index:0"))
+
+
+def test_run_local_clustering_refuses_more_than_one_seed(tmp_path):
+    with pytest.raises(InputError, match="needs exactly one seed"):
+        run_local_clustering(toy_config(tmp_path, seed_edge="random:2"))
+
+
+def test_bench_loads_and_parses_a_random_k_entry_once(tmp_path, monkeypatch):
+    counts = {"load_input": 0, "parse_arb_simplices": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(mpipe, "load_input")
+    counted(mio, "parse_arb_simplices")
+    result = run_benchmark([contact_config(contact_arb(tmp_path))])
+    assert len(result.reports) == 3 and not result.failures
+    assert counts == {"load_input": 1, "parse_arb_simplices": 1}
+    # every report carries the load time it was answered from
+    assert len({report.timings["ingest"] for report in result.reports}) == 1
+
+
+def test_random_reports_rerun_byte_identical_from_their_own_fields(tmp_path):
+    # a random:k report, from one cluster call or from bench, is the
+    # index:<seed_edge_index> query with the report's rng_seed; random:1 means
+    # the same in both
+    root = contact_arb(tmp_path)
+    reports = run_benchmark([contact_config(root), contact_config(root, method="bfs")]).reports
+    for rng_seed in (1, 2):
+        config = contact_config(root, seed_edge="random:1", rng_seed=rng_seed)
+        alone = run_local_clustering(config)
+        (benched,) = run_benchmark([config]).reports
+        assert alone.canonical_json() == benched.canonical_json()
+        reports.append(alone)
+    assert len(reports) == 8
+    for report in reports:
+        config = contact_config(
+            root,
+            method=report.method,
+            seed_edge=f"index:{report.params['seed_edge_index']}",
+            rng_seed=report.rng_seed,
+        )
+        assert run_local_clustering(config).canonical_json() == report.canonical_json()
+
+
+def test_bench_fails_a_missing_input_in_one_row_and_runs_the_rest(tmp_path):
+    configs = [
+        toy_config(tmp_path, input=str(tmp_path / "missing.txt")),
+        toy_config(tmp_path, method="core"),
+    ]
+    result = run_benchmark(configs)
+    assert len(result.failures) == 1
+    graph, method, _error = result.failures[0]
+    assert (graph, method) == (str(tmp_path / "missing.txt"), "bfs")
+    data_rows = [r for r in result.rows if r["graph"] != "Overall"]
+    assert [(r["graph"], r["phi"] != "") for r in data_rows] == [
+        (str(tmp_path / "missing.txt"), False),
+        ("toy", True),
+    ]
+    assert [report.method for report in result.reports] == ["core"]
 
 
 def test_run_benchmark_rows_and_overall(tmp_path):
