@@ -7,19 +7,18 @@ imbalance. A heap entry is one int, ``key * N + v`` for node v with negated
 gain ``key`` among N aux nodes; as 0 <= v < N, the ints order exactly as
 (key, v) tuples would, so the moves are those of a tuple heap
 (``reference_fm_refine`` in ``tests/references.py``) without a tuple per
-entry. Block 0 is the cluster side (holds the seed nodes); block 1 holds the
-contracted node u.
-The contracted node never moves; every other node, seeds included, is free
-during refinement, and seeds are moved back to block 0 afterwards.
+entry. Block 0 is the cluster side and block 1 the other side. FM moves
+every node but the fixed ones: the seed nodes stay in block 0 and the
+contracted node u stays in block 1, as fixed vertices do in FM with fixed
+vertices (Caldwell, Kahng & Markov, IEEE TCAD 2000). Every state FM visits
+is thus a consistent split.
 
 States are scored where FM already tracks them: ``fm_refine`` keeps the
-cut, the block sizes, block 0's motif volume (from ``aux.volumes``) and the
-count of seeds outside block 0, and offers every state with no displaced
-seed to the search's ``_Best`` record. A restart's end state is offered
-only when moving its seeds back to block 0 makes it a new state; its cut
-and volume are then counted once. ``_Best`` scores a state with
-``conductance.motif_conductance`` and holds the search's one tie order:
-smaller phi, then smaller cut-net, then smaller block 0, then first found.
+cut, the block sizes and block 0's motif volume (from ``aux.volumes``), and
+offers every state it visits to the search's ``_Best`` record. ``_Best``
+scores a state with ``conductance.motif_conductance`` and holds the
+search's one tie order: smaller phi, then smaller cut-net, then smaller
+block 0, then first found.
 """
 
 from __future__ import annotations
@@ -86,9 +85,11 @@ def fm_refine(
 ) -> Blocks:
     """FM passes: move the best-gain unlocked node that keeps the size bound,
     lock it, and roll back to the best prefix at pass end. Stops when a pass
-    brings no improvement, or after MAX_PASSES passes. Every node except u
-    may move, seeds included. Never returns a worse cut than it received; a
-    worse cut raises RefinementError.
+    brings no improvement, or after MAX_PASSES passes. The seed nodes and u
+    are fixed: ``blocks`` must hold every seed in block 0 and u in block 1
+    (else InputError), and they stay there, so neither block ever empties.
+    Never returns a worse cut than it received; a worse cut raises
+    RefinementError.
 
     Gains are taken on the pair graph W, where they are exactly twice the
     cut-net gains, so the move order (max gain, ties to the smaller id) is
@@ -104,11 +105,11 @@ def fm_refine(
     first entry that equals ``key[v] * N + v`` is the block's best move.
 
     Beside the cut and the block sizes, each pass keeps block 0's motif
-    volume and the count of seeds outside block 0: counted in the pass-start
-    sweep, updated on each committed move, and recounted after a rollback
-    by the next pass start. ``best``, a search's ``_Best`` record, is offered
-    every visited state with no displaced seed, at each pass start and after
-    each committed move; the refinement itself never depends on it.
+    volume: counted in the pass-start sweep, updated on each committed move,
+    and recounted after a rollback by the next pass start. ``best``, a
+    search's ``_Best`` record, is offered every visited state, at each pass
+    start and after each committed move; the refinement itself never
+    depends on it.
 
     ``observer(event, blocks, moved, cut)`` is called with event "pass" at
     each pass start and "move" after each committed move (before any
@@ -117,13 +118,16 @@ def fm_refine(
     """
     blocks = list(blocks)
     initial_cut = 2 * cut_net(aux, blocks)  # W units from here on
+    seeds = aux.seed_nodes
+    u = aux.u
+    if blocks[u] != 1 or any(blocks[s] for s in seeds):
+        raise InputError("fm_refine needs every seed node in block 0 and u in block 1")
     bound = size_bound(aux.num_nodes, eps)
     nbrs = aux.neighbors
     pairs = aux.pairs
     volumes = aux.volumes
-    seeds = aux.seed_nodes
-    u = aux.u
     n = aux.num_nodes  # the N of heap entries key * N + v
+    movable = [v not in seeds for v in range(u)] + [False]  # u is the last node
     push = heapq.heappush
     pop = heapq.heappop
     heapreplace = heapq.heapreplace
@@ -141,19 +145,17 @@ def fm_refine(
                 external[a] += w
                 external[b] += w
         key = [2 * (d - e) for d, e in zip(volumes, external)]
-        free = [True] * u + [False]  # movable and not yet moved in this pass
+        free = list(movable)  # movable and not yet moved in this pass
         heaps: tuple[list, list] = ([], [])
         vol0 = 0  # block 0's motif volume
         for v in range(u):  # every node but u, the last one
-            if blocks[v]:
-                heaps[1].append(key[v] * n + v)
-            else:
-                heaps[0].append(key[v] * n + v)
+            if not blocks[v]:
                 vol0 += volumes[v]
+            if free[v]:
+                heaps[blocks[v]].append(key[v] * n + v)
         heapq.heapify(heaps[0])
         heapq.heapify(heaps[1])
-        displaced = sum(blocks[s] for s in seeds)  # seeds outside block 0
-        if best is not None and not displaced:
+        if best is not None:
             best.offer(cur >> 1, vol0, counts[0], blocks)
         trail: list[int] = []
         best_cut = cur
@@ -161,8 +163,7 @@ def fm_refine(
         while True:
             chosen = None
             for side in (0, 1):
-                # a move must respect the size bound and may not empty a block
-                if counts[1 - side] >= bound or counts[side] == 1:
+                if counts[1 - side] >= bound:  # the move would overfill the other block
                     continue
                 heap = heaps[side]
                 while heap:
@@ -195,17 +196,12 @@ def fm_refine(
             blocks[v] = 1 - f
             counts[f] -= 1
             counts[1 - f] += 1
-            if f:  # into block 0
-                vol0 += volumes[v]
-                displaced -= v in seeds
-            else:
-                vol0 -= volumes[v]
-                displaced += v in seeds
+            vol0 += volumes[v] if f else -volumes[v]
             cur += k
             trail.append(v)
             if observer is not None:
                 observer("move", blocks, v, cur >> 1)
-            if best is not None and not displaced:
+            if best is not None:
                 best.offer(cur >> 1, vol0, counts[0], blocks)
             if cur < best_cut:
                 best_cut = cur
@@ -237,13 +233,10 @@ def partition_search(
     from the master rng, samples eps uniformly from ``eps_range``,
     initializes randomly and refines. Refinement minimizes the cut, so the
     best-conductance state is often mid-trajectory rather than final:
-    ``fm_refine`` offers every consistent state it visits to the search's
-    ``_Best`` record. A run's end state is offered last, and only when it
-    leaves a seed outside block 0: the seeds are then moved back, which
-    makes a state FM never visited. Otherwise FM has offered it already
-    (its rollback returns to a visited state), and a second offer of an
-    equal key changes nothing. Ties break by smaller cut-net, then smaller
-    block 0, then first found.
+    ``fm_refine`` keeps the seeds in block 0 and offers every state it
+    visits, the run's end state among them, to the search's ``_Best``
+    record. Ties break by smaller cut-net, then smaller block 0, then first
+    found.
 
     Returns ``(blocks, phi, cut, size0)`` of the winner, with ``cut`` its
     cut-net and ``size0`` the node count of its block 0, so that
@@ -259,12 +252,7 @@ def partition_search(
     for _ in range(beta):
         r = random.Random(rng.randrange(2**63))
         eps = lo if lo == hi else r.uniform(lo, hi)
-        blocks = fm_refine(aux, random_feasible_partition(aux, eps, r), eps, best=best)
-        if any(blocks[s] for s in aux.seed_nodes):  # else fm_refine offered it
-            for s in aux.seed_nodes:
-                blocks[s] = 0
-            vol0 = sum(d for d, b in zip(aux.volumes, blocks) if not b)
-            best.offer(cut_net(aux, blocks), vol0, len(blocks) - sum(blocks), blocks)
+        fm_refine(aux, random_feasible_partition(aux, eps, r), eps, best=best)
     if best.key is None:
         return None
     return (best.blocks, *best.key)

@@ -132,7 +132,7 @@ def load_input(config: RunConfig) -> tuple[mio.ParseResult, str]:
     if config.format == "arb":
         nverts, simplices = arb_paths(config.input)
         parsed = mio.parse_arb_simplices(nverts, simplices)
-        default_name = os.path.basename(config.input.rstrip("/")).replace("-nverts.txt", "")
+        default_name = os.path.basename(config.input.rstrip("/"))
     else:
         parsed = mio.parse_edge_list(config.input)
         default_name = os.path.splitext(os.path.basename(config.input))[0]
@@ -327,8 +327,6 @@ def _query(
         details.phi = phi
     times["total"] = ingest + time.perf_counter() - t_start
     report.timings = {k: round(v, 6) for k, v in times.items()}
-    if config.output:
-        mio.write_report(report, config.output)
     return report, details
 
 
@@ -342,6 +340,8 @@ def run_local_clustering(
             "run_local_clustering needs exactly one seed; use the bench harness for random:k"
         )
     report, details = _query(config, parsed, dataset, ingest, *queries[0])
+    if config.output:
+        mio.write_report(report, config.output)
     return (report, details) if return_details else report
 
 
@@ -363,20 +363,23 @@ def run_benchmark(
     for random:k, see ``resolve_seed_edges``) run on that load. A report's
     ``ingest`` is that load time and its ``total`` is ingest plus its own
     phases, so a row's ``time_s`` is what one ``cluster`` call costs. A
-    config that fails to load gives one failed row; a query that fails
-    gives its own failed row, and later queries and configs still run."""
+    config that fails to load gives one failed row, named by its dataset or
+    input path; a query that fails gives its own failed row, named by the
+    loaded dataset, and later queries and configs still run. A config with
+    ``output`` is refused before any run: ``output_dir`` names each query's
+    report. Each method's Overall row holds the plain mean of its
+    successful queries' exact phi and of their cluster sizes."""
     if not configs:
         raise InputError("benchmark needs at least one run config")
+    if any(config.output for config in configs):
+        raise InputError("a bench run takes no 'output'; 'output_dir' writes its reports")
     rows: list[dict] = []
     reports: list[mio.ClusterReport] = []
     failures: list[tuple[str, str, str]] = []
 
-    def fail(config: RunConfig, exc: Exception) -> None:
-        graph = config.dataset or config.input
-        failures.append((graph, config.method, str(exc)))
-        rows.append(
-            {"graph": graph, "method": config.method, "phi": "", "cluster_size": "", "time_s": ""}
-        )
+    def fail(graph: str, method: str, exc: Exception) -> None:
+        failures.append((graph, method, str(exc)))
+        rows.append({"graph": graph, "method": method, "phi": "", "cluster_size": "", "time_s": ""})
 
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
@@ -385,13 +388,13 @@ def run_benchmark(
         try:
             parsed, dataset, queries, ingest = _load(config)
         except Exception as exc:  # noqa: BLE001 - per-row failure, not fatal
-            fail(config, exc)
+            fail(config.dataset or config.input, config.method, exc)
             continue
         for seed_index, rng_seed in queries:
             try:
                 report, _ = _query(config, parsed, dataset, ingest, seed_index, rng_seed)
             except Exception as exc:  # noqa: BLE001
-                fail(config, exc)
+                fail(dataset, config.method, exc)
                 continue
             if output_dir:
                 path = os.path.join(
@@ -400,12 +403,13 @@ def run_benchmark(
                     f"__seed{report.params['seed_edge_index']}.json",
                 )
                 if path in written:
-                    fail(config, InputError(f"report {path} was already written in this bench run"))
+                    error = InputError(f"report {path} was already written in this bench run")
+                    fail(dataset, config.method, error)
                     continue
                 try:
                     mio.write_report(report, path)
                 except ParseError as exc:  # the report is lost, so the run failed
-                    fail(config, exc)
+                    fail(dataset, config.method, exc)
                     continue
                 written.add(path)
             reports.append(report)
@@ -420,16 +424,15 @@ def run_benchmark(
                 }
             )
     for method in ("core", "bfs"):
-        done = [r for r in rows if r["method"] == method and r["phi"] != ""]
+        done = [r for r in reports if r.method == method and r.status == "ok"]
         if done:
-            # plain (unweighted) arithmetic mean over successful runs
-            mean_phi = sum(float(r["phi"]) for r in done) / len(done)
-            mean_size = sum(int(r["cluster_size"]) for r in done) / len(done)
+            mean_phi = sum(Fraction(r.phi_exact) for r in done) / len(done)
+            mean_size = sum(r.cluster_size for r in done) / len(done)
             rows.append(
                 {
                     "graph": "Overall",
                     "method": method,
-                    "phi": f"{mean_phi:.3f}",
+                    "phi": mio.format_csv_float(float(mean_phi)),
                     "cluster_size": f"{mean_size:.1f}",
                     "time_s": "",
                 }

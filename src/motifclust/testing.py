@@ -1,13 +1,13 @@
 """Brute-force oracles and instance generators for validating every phase.
 
-Test support only, not part of the release API: every oracle carries an
-explicit size budget and refuses anything beyond toy scale.
+Test support only, not part of the release API: every oracle refuses
+anything beyond toy scale, at most ``MAX_ORACLE_NODES`` nodes and
+``MAX_ORACLE_SUBSETS`` candidate subsets.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,21 +17,18 @@ from .errors import BudgetExceededError, InputError, UndefinedConductanceError
 from .motifs import MotifPattern, classify_triple
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_nodes: int = 12
-    max_subsets: int = 2**15
+MAX_ORACLE_NODES = 12
+MAX_ORACLE_SUBSETS = 2**15
 
 
-DEFAULT_BUDGET = OracleBudget()
+def _check_nodes(n: int) -> None:
+    if n > MAX_ORACLE_NODES:
+        raise BudgetExceededError(f"{n} nodes exceed the oracle budget of {MAX_ORACLE_NODES}")
 
 
-def brute_motifs(
-    H: Hypergraph, pattern: MotifPattern, budget: OracleBudget = DEFAULT_BUDGET
-) -> list[tuple[int, int, int]]:
+def brute_motifs(H: Hypergraph, pattern: MotifPattern) -> list[tuple[int, int, int]]:
     """Classify every C(n, 3) triple; the reference for enumerate_motifs."""
-    if H.n > budget.max_nodes:
-        raise BudgetExceededError(f"{H.n} nodes exceed the oracle budget of {budget.max_nodes}")
+    _check_nodes(H.n)
     return [t for t in combinations(range(H.n), 3) if classify_triple(H, *t) is pattern]
 
 
@@ -39,23 +36,21 @@ def brute_best_cluster(
     H: Hypergraph,
     seed,
     pattern: MotifPattern,
-    budget: OracleBudget = DEFAULT_BUDGET,
     within=None,
 ) -> tuple[frozenset[int], Fraction]:
     """Exhaustive minimum of direct conductance over seed-containing proper
     nonempty node subsets (optionally restricted to ``within``). Deterministic:
     ties break by smaller cluster, then lexicographically."""
-    if H.n > budget.max_nodes:
-        raise BudgetExceededError(f"{H.n} nodes exceed the oracle budget of {budget.max_nodes}")
+    _check_nodes(H.n)
     seed_set = frozenset(seed)
     if not seed_set:
         raise InputError("seed must be nonempty")
     pool = sorted((frozenset(within) if within is not None else frozenset(range(H.n))) - seed_set)
-    if 2 ** len(pool) > budget.max_subsets:
+    if 2 ** len(pool) > MAX_ORACLE_SUBSETS:
         raise BudgetExceededError(
-            f"{2 ** len(pool)} candidate subsets exceed the budget of {budget.max_subsets}"
+            f"{2 ** len(pool)} candidate subsets exceed the budget of {MAX_ORACLE_SUBSETS}"
         )
-    M = brute_motifs(H, pattern, budget)
+    M = brute_motifs(H, pattern)
     everything = frozenset(range(H.n))
     best: tuple | None = None
     for mask in range(2 ** len(pool)):
@@ -75,7 +70,7 @@ def brute_best_cluster(
     return frozenset(best[2]), best[0]
 
 
-def brute_nbr_core_numbers(H: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET) -> list[int]:
+def brute_nbr_core_numbers(H: Hypergraph) -> list[int]:
     """Core numbers from the defining property, independent of peeling.
 
     A set S is k-valid when every node of S has >= k neighbors in the strongly
@@ -83,8 +78,7 @@ def brute_nbr_core_numbers(H: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET)
     core is the union of all k-valid sets. Enumerates all 2^n subsets.
     """
     n = H.n
-    if n > budget.max_nodes:
-        raise BudgetExceededError(f"{n} nodes exceed the oracle budget of {budget.max_nodes}")
+    _check_nodes(n)
     edges = H.members
     core = [0] * n
     # min over nodes of the neighbor count inside S, for every subset S

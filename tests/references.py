@@ -140,8 +140,8 @@ def reference_fm_refine(
 ) -> Blocks:
     """FM passes: move the best-gain unlocked node that keeps the size bound,
     lock it, and roll back to the best prefix at pass end. Stops when a pass
-    brings no improvement, or after MAX_PASSES passes. Every node except u
-    may move, seeds included. Never returns a worse cut than it received; a
+    brings no improvement, or after MAX_PASSES passes. The seed nodes and u
+    are fixed and never move. Never returns a worse cut than it received; a
     worse cut raises RefinementError.
 
     Gains are taken on the pair graph W, where they are exactly twice the
@@ -185,7 +185,7 @@ def reference_fm_refine(
                 else:
                     k -= w
             key[v] = k
-            free[v] = True
+            free[v] = v not in aux.seed_nodes
             heaps[side].append((k, v))
         heapq.heapify(heaps[0])
         heapq.heapify(heaps[1])
@@ -195,8 +195,7 @@ def reference_fm_refine(
         while True:
             chosen = None
             for side in (0, 1):
-                # a move must respect the size bound and may not empty a block
-                if counts[1 - side] >= bound or counts[side] == 1:
+                if counts[1 - side] >= bound:  # the move would overfill the other block
                     continue
                 heap = heaps[side]
                 while heap:
@@ -249,19 +248,6 @@ def reference_fm_refine(
 # state tracking replaces
 
 
-def enforce_consistency(aux: AuxHypergraph, blocks: Sequence[int]) -> Blocks:
-    """Relabel so u sits in block 1, then move stray seed nodes to block 0.
-
-    The post-hoc move may leave block 1 holding only u; that is still valid.
-    """
-    out = list(blocks)
-    if out[aux.u] == 0:
-        out = [1 - b for b in out]
-    for s in aux.seed_nodes:
-        out[s] = 0
-    return out
-
-
 def reference_partition_search(
     aux: AuxHypergraph,
     beta: int,
@@ -270,9 +256,9 @@ def reference_partition_search(
     total: int,
 ) -> tuple[Blocks, Fraction, int, int] | None:
     """partition_search with each state scored by an fm_refine observer that
-    recounts block 0's volume, size and stray seeds at every pass start and
-    updates them on every move. Returns (blocks, phi, cut-net, block-0 size)
-    of the smallest (phi, cut-net, block-0 size, run) key, or None."""
+    recounts block 0's volume and size at every pass start and updates them
+    on every move. Returns (blocks, phi, cut-net, block-0 size) of the
+    smallest (phi, cut-net, block-0 size, run) key, or None."""
     if beta < 1:
         raise InputError(f"beta must be >= 1, got {beta}")
     lo, hi = eps_range
@@ -284,10 +270,7 @@ def reference_partition_search(
         r = random.Random(run_seed)
         eps = lo if lo == hi else r.uniform(lo, hi)
         init = random_feasible_partition(aux, eps, r)
-        scorer = _StateScorer(aux, total, i, best)
-        refined = fm_refine(aux, init, eps, observer=scorer)
-        final = enforce_consistency(aux, refined)
-        scorer.rescore(final, cut_net(aux, final))
+        fm_refine(aux, init, eps, observer=_StateScorer(aux, total, i, best))
     if best.blocks is None:
         return None
     return (best.blocks, *best.key[:3])
@@ -310,51 +293,31 @@ class _Best:
 
 
 class _StateScorer:
-    """fm_refine observer: tracks (cut, block-0 volume, stray seeds, block-0
-    size) incrementally and offers every consistent state to the search.
-    ``rescore`` recounts them from scratch, at each pass start and for the
-    restart's final state."""
+    """fm_refine observer: tracks (cut, block-0 volume, block-0 size)
+    incrementally and offers every state to the search. It recounts them
+    in full at each pass start."""
 
-    __slots__ = ("aux", "volumes", "total", "run", "best", "vol0", "size0", "displaced", "seeds")
+    __slots__ = ("volumes", "total", "run", "best", "vol0", "size0")
 
     def __init__(self, aux: AuxHypergraph, total: int, run: int, best: _Best):
-        self.aux = aux
         self.volumes = aux.volumes
         self.total = total
         self.run = run
         self.best = best
-        self.seeds = aux.seed_nodes
         self.vol0 = 0
         self.size0 = 0
-        self.displaced = 0
 
     def __call__(self, event: str, blocks: Sequence[int], moved: int | None, cut: int) -> None:
-        if event == "pass":
-            self.rescore(blocks, cut)
-            return
         vols = self.volumes
-        if blocks[moved] == 0:  # moved into block 0
+        if event == "pass":
+            self.vol0 = sum(d for d, b in zip(vols, blocks) if b == 0)
+            self.size0 = len(blocks) - sum(blocks)
+        elif blocks[moved] == 0:  # moved into block 0
             self.vol0 += vols[moved]
             self.size0 += 1
-            if moved in self.seeds:
-                self.displaced -= 1
         else:
             self.vol0 -= vols[moved]
             self.size0 -= 1
-            if moved in self.seeds:
-                self.displaced += 1
-        self._offer(blocks, cut)
-
-    def rescore(self, blocks: Sequence[int], cut: int) -> None:
-        vols = self.volumes
-        self.vol0 = sum(vols[a] for a in range(self.aux.u) if blocks[a] == 0)
-        self.size0 = len(blocks) - sum(blocks)
-        self.displaced = sum(1 for s in self.seeds if blocks[s] == 1)
-        self._offer(blocks, cut)
-
-    def _offer(self, blocks: Sequence[int], cut: int) -> None:
-        if self.displaced:
-            return
         key = self.best.key
         if key is not None and cut * key[0].denominator > key[0].numerator * self.vol0:
             return  # phi >= cut / vol0, which is already above the best phi

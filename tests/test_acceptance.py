@@ -302,7 +302,7 @@ def test_criterion_6_phi_range_and_refine_counters():
 # order (core then bfs, 5 seeds each), recorded with the exact scoring on
 # global motif totals
 SYNTHETIC_C5_DIGESTS = (
-    "df2b48e3d986723133d0450d9b5df771b95227ee5478b9a6af8bf749150f40da",
+    "539387440e5677ed4a6eb0007d8ca560add9dbf1cec860b712e33af52b4e880c",
     "2dac9231e6b1217ed1b4c9bd517e6a84f0a4631d0ac0fd61cffbbe49e3d351ee",
     "f6cb2d1e1326cfa8d35b68c8f7f6e0f3cf2e745bba6ad5dd102f96683c7818d3",
     "e6dac2fff68d90883b033a1bc085ed446b62221cff903d9f293d81aa2e07e899",

@@ -183,6 +183,14 @@ def test_bfs_balls_truncated_by_exhaustion():
     assert balls[1].nodes == {0, 1, 2, 3}
 
 
+def test_bfs_balls_rejects_a_bad_alpha_or_min_size():
+    H = Hypergraph.from_members([[0, 1], [1, 2]])
+    with pytest.raises(InputError, match="alpha must be >= 1, got 0"):
+        bfs_balls(H, [0, 1], alpha=0, min_size=2)
+    with pytest.raises(InputError, match="min_size must be >= 1, got 0"):
+        bfs_balls(H, [0, 1], alpha=3, min_size=0)
+
+
 def test_every_ball_contains_seed_and_stays_in_component():
     rng = random.Random(23)
     for _ in range(20):

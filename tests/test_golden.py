@@ -30,17 +30,17 @@ from workloads import ring_contact_edges  # noqa: E402
 
 GOLDEN = {
     ("I", "core"): "b215aa310d9af8b0c63a1677420a79b64d62597e2ce7f99cbe37bc947d25732c",
-    ("I", "bfs"): "861f17338761afc1ac170ec6a8d2ca952c1d99e9977a2a0eb5b8560e6291a745",
-    ("II", "core"): "ce4683beb11c1c8772e7933e2e3b04489c5923e21ad412f7dd6da6660cf03d32",
+    ("I", "bfs"): "2fc030d320500057a9339170ab6fc8d4db7231a806bed5b6322c20e353bf796b",
+    ("II", "core"): "48a8d63f396b96e12312765ab89a68ce05c7c266161e1b2220a2428842e0dbd3",
     ("II", "bfs"): "56caa144c660f01661eae50994d2379fd1bc3d33d9780f153a5eb7ab2c88c1e3",
     ("III", "core"): "a98cdb62180677e4736f143d389eacd48a7601712d1a2e650cae3ce3e0fe6eca",
-    ("III", "bfs"): "c76ab62d6f1963891b3a437b5a966b7cc053a07ad888b6629c6119b8e59a3653",
+    ("III", "bfs"): "bfdbffe1415f5a0a00b119c3254b10ed36fbbf8c125bb5b0a6a042b9d908dd29",
     ("IV", "core"): "e0dd130b47bf504904862b15cbec81c2a17467681e5197ae9a21a15c6efd1d3b",
     ("IV", "bfs"): "e235add4286f81cc4faf75cb2090adfe86d961e4038bc169867435376d2ceeb2",
     ("V", "core"): "cb9481112c62ee2730eef179a4343b52b1796a73f742bd32872f2dceddbefaab",
     ("V", "bfs"): "2e6c071de7f625c6cfbaf42aba2825482705afeeedf8069767798b2e52015215",
-    ("VI", "core"): "8fc8ae11f13bbb40a85a64d18d22cac2f4b845bc841ad48bf4c4da11c956c58b",
-    ("VI", "bfs"): "55d3b0df26559d4ddcf265c784e56ec36d295e9ec2c71c76787c1a6b6e63aca7",
+    ("VI", "core"): "f1c065e82b514454119b3f792644fb80f10374fc45a941e3c728316f0443e51c",
+    ("VI", "bfs"): "bc3aa6cdeec6e36ae36a3aedba43b8bb3bca9920012d12f092efd7eb7364cd08",
 }
 
 
@@ -95,12 +95,12 @@ def assert_exact_answer(report, parsed, pattern):
 RING_SEED_EDGE = 281
 
 RING_GOLDEN = {
-    ("I", "core"): "a555ac5e6839c9464f65f90958ba649ffef52df300d5323d37507569ae6eb12e",
+    ("I", "core"): "91b85cd52d055ec430049eaebceb0fa176b5c08d010531dc3fb665c19da9805f",
     ("I", "bfs"): "b76a4a7fa67ab84abf2d265629a3f5a243d12186ba45b5cfc7cfc3d68d6f1e81",
-    ("II", "core"): "586552e90124993d328d7ed13bb07b017934149fcd79cfa42e167f0abca88949",
+    ("II", "core"): "3fcad7c8169e9c04f16d81fb4432bd8d09351efeab304e4935b212818dfa7809",
     ("II", "bfs"): "49e212244f7f9c7d215ff8ccc29fd5f746c43b2a49a016411959223acb962f34",
-    ("IV", "core"): "f2038743941575c783f072429284d1b54498296a43e18a2fc5ea0da716d6108f",
-    ("IV", "bfs"): "e09786211df8d29569b20106598e0242c037d605e761a37e526b42a6f31e0da5",
+    ("IV", "core"): "72448e1e9383ecb32930af4d7475b4da3373dd223325490dd75cccaad7cef538",
+    ("IV", "bfs"): "2e31588418d689ed95f46bed2eb535ea8fd664000949e6f804a83fbf7bc87ee7",
 }
 
 

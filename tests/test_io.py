@@ -129,6 +129,19 @@ def test_parse_arb_simplices(tmp_path):
     assert members == {(1, 2, 3), (1, 2)}
 
 
+@pytest.mark.parametrize("unreadable", ["nverts", "simplices"])
+def test_parse_arb_reports_a_file_that_exists_but_cannot_be_read(tmp_path, unreadable):
+    # a directory under the file's name passes the existence check, so the
+    # read itself must fail as a ParseError that names the path
+    paths = {kind: tmp_path / f"x-{kind}.txt" for kind in ("nverts", "simplices")}
+    paths["nverts"].write_text("2\n")
+    paths["simplices"].write_text("1\n2\n")
+    paths[unreadable].unlink()
+    paths[unreadable].mkdir()
+    with pytest.raises(ParseError, match=f"cannot read: .*x-{unreadable}.txt"):
+        parse_arb_simplices(paths["nverts"], paths["simplices"])
+
+
 def test_parse_arb_length_mismatch(tmp_path):
     nverts = tmp_path / "y-nverts.txt"
     simplices = tmp_path / "y-simplices.txt"

@@ -78,6 +78,13 @@ def test_enumerate_requires_nonempty_ball():
         enumerate_motifs(H, set(), MotifPattern.I)
 
 
+def test_enumerate_rejects_a_ball_node_out_of_range():
+    H = Hypergraph.from_members([[0, 1, 2]])
+    for node in (3, -1):
+        with pytest.raises(InputError, match=f"ball node {node} out of range"):
+            enumerate_motifs(H, {0, node}, MotifPattern.III)
+
+
 def test_enumerate_accepts_only_the_exact_scope():
     # wedge 0-1-2 with ball {0}: endpoint 2 sits outside N[{0}] = {0, 1}
     H = Hypergraph.from_members([[0, 1], [1, 2]])

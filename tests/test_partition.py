@@ -50,6 +50,15 @@ def random_aux(rng, max_nodes=12):
     return aux_from_hyperedges(ball, sorted(edges.items()), seed_nodes=seeds)
 
 
+def desk_auxes(n_edges, pattern):
+    """The aux of each ball (core, then bfs) around hyperedge 0 of the desk
+    contact hypergraph with ``n_edges`` hyperedges."""
+    H = Hypergraph.from_members(synthetic_contact_edges(n_edges=n_edges))
+    seed = H.edge(0).members
+    balls = [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100)
+    return [build_aux(enumerate_motifs(H, ball, pattern), ball, seed) for ball in balls]
+
+
 def all_consistent_partitions(aux):
     free = [v for v in range(aux.u) if v not in aux.seed_nodes]
     for bits in product((0, 1), repeat=len(free)):
@@ -69,6 +78,16 @@ def test_cut_net_toy():
     for bad in ("x", None):
         with pytest.raises(InputError, match="block values must be 0 or 1"):
             cut_net(aux, [0, 0, bad, 1])
+    for blocks in ([0, 0, 1], [0, 0, 0, 1, 1]):
+        with pytest.raises(InputError, match=f"partition covers {len(blocks)} nodes, aux has 4"):
+            cut_net(aux, blocks)
+
+
+def test_size_bound_needs_a_positive_eps():
+    assert mp.size_bound(43, 0.03) == 23
+    for eps in (0, -0.1):
+        with pytest.raises(InputError, match="imbalance eps must be > 0"):
+            mp.size_bound(43, eps)
 
 
 def test_random_feasible_partition_contract():
@@ -90,6 +109,26 @@ def test_random_feasible_partition_respects_bound():
         assert sum(blocks) <= bound and len(blocks) - sum(blocks) <= bound
         assert blocks[aux.u] == 1
         assert all(blocks[s] == 0 for s in aux.seed_nodes)
+
+
+def test_random_feasible_partition_falls_back_when_no_draw_fits():
+    # 23 seeds fill block 0 of a 43-node ball at eps 0.03 (cap 23 of the 44
+    # aux nodes), so a draw fits only when all 20 free nodes land in block 1
+    # (p = 2**-20); after MAX_ATTEMPTS misses, the capacity-aware fallback
+    # assigns them from the same stream
+    aux = aux_from_hyperedges(43, [((v, 43), 1) for v in range(43)], seed_nodes=range(23))
+    assert mp.size_bound(aux.num_nodes, 0.03) == 23
+    draws = []
+
+    class Counting(random.Random):
+        def random(self):
+            draws.append(None)
+            return super().random()
+
+    blocks = random_feasible_partition(aux, 0.03, Counting(5))
+    assert len(draws) == (mp.MAX_ATTEMPTS + 1) * 20  # every draw missed, then the fallback
+    assert blocks[aux.u] == 1 and not any(blocks[s] for s in aux.seed_nodes)
+    assert blocks.count(0) <= 23 and blocks.count(1) <= 23
 
 
 def test_random_feasible_partition_infeasible_seeds():
@@ -114,8 +153,37 @@ def test_fm_refine_keeps_fixed_nodes():
     for _ in range(30):
         aux = random_aux(rng)
         blocks = random_feasible_partition(aux, 0.4, rng)
-        refined = fm_refine(aux, blocks, 0.4)  # every node but u may move
+        refined = fm_refine(aux, blocks, 0.4)  # every node but u and the seeds may move
         assert refined[aux.u] == 1
+        assert all(refined[s] == 0 for s in aux.seed_nodes)
+
+
+def test_fm_refine_visits_only_states_with_every_seed_in_block_0():
+    # the seeds are fixed like u: no state FM passes through, at a pass
+    # start or after a move, has a seed outside block 0 or u outside block 1
+    rng = random.Random(41)
+    cases = [random_aux(rng) for _ in range(80)]
+    cases += desk_auxes(2000, MotifPattern.I) + desk_auxes(12704, MotifPattern.VI)
+    states = 0
+    for aux in cases:
+        for eps in (0.03, 0.5, 1.0):
+            blocks = random_feasible_partition(aux, eps, rng)
+
+            def observer(event, live, moved, cut, aux=aux):
+                nonlocal states
+                states += 1
+                assert live[aux.u] == 1 and not any(live[s] for s in aux.seed_nodes)
+
+            fm_refine(aux, blocks, eps, observer=observer)
+    assert states > 10_000
+
+
+def test_fm_refine_rejects_a_start_with_a_fixed_node_outside_its_block():
+    aux = aux_from_hyperedges(4, [((0, 1, 2), 1), ((2, 3, 4), 1)], seed_nodes=[0, 1])
+    assert fm_refine(aux, [0, 0, 1, 0, 1], 0.5)[4] == 1  # a consistent start is fine
+    for start in ([0, 1, 1, 0, 1], [1, 0, 0, 0, 1], [0, 0, 1, 1, 0]):
+        with pytest.raises(InputError, match="seed node in block 0 and u in block 1"):
+            fm_refine(aux, start, 0.5)
 
 
 def hyperedge_cut(edges, blocks):
@@ -210,11 +278,7 @@ def test_fm_refine_matches_the_tuple_heap_reference():
             ball, [(m, w * scale) for m, w in sorted(edges.items())], seed_nodes=seeds
         )
         cases.append(aux)
-    H = Hypergraph.from_members(synthetic_contact_edges(n_edges=2000))
-    seed = H.edge(0).members
-    for pattern in (MotifPattern.I, MotifPattern.VI):
-        for ball in [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100):
-            cases.append(build_aux(enumerate_motifs(H, ball, pattern), ball, seed))
+    cases += desk_auxes(2000, MotifPattern.I) + desk_auxes(2000, MotifPattern.VI)
     for aux in cases:
         for eps in (0.03, 0.5, 1.0):
             blocks = random_feasible_partition(aux, eps, rng)
@@ -226,13 +290,12 @@ def test_fm_refine_matches_the_tuple_heap_reference():
 
 
 def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
-    # fm_refine's own vol0 / displaced-seed tracking finds the same winner as
-    # the observer that recounted them at each pass start: equal (blocks, phi,
-    # cut, size0), or None on both sides, with light and heavy weights, on
-    # desk-I and desk-VI balls, at a binding and at looser size bounds, and
-    # with totals on both sides of 2 * sum(volumes), so both volume sides win.
-    # Many restarts end with a seed outside block 0, so the end state that
-    # moving the seeds back makes is offered, and must be scored, often
+    # fm_refine's own vol0 tracking finds the same winner as the observer
+    # that recounts it at each pass start: equal (blocks, phi, cut, size0),
+    # or None on both sides, with light and heavy weights, on desk-I and
+    # desk-VI balls, at a binding and at looser size bounds, and with totals
+    # on both sides of 2 * sum(volumes), so both volume sides win. No restart
+    # ends with a seed outside block 0, so no end state needs scoring apart
     displaced = []
 
     def counting_fm_refine(aux, blocks, eps, observer=None, best=None):
@@ -250,11 +313,8 @@ def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
             ball, [(m, w * scale) for m, w in sorted(edges.items())], seed_nodes=seeds
         )
         cases.append((aux, rng.randint(1, 6)))
-    for n_edges, pattern in ((2000, MotifPattern.I), (12704, MotifPattern.VI)):
-        H = Hypergraph.from_members(synthetic_contact_edges(n_edges=n_edges))
-        seed = H.edge(0).members
-        for ball in [core_ball(H, seed, 100)] + bfs_balls(H, seed, 3, 100):
-            cases.append((build_aux(enumerate_motifs(H, ball, pattern), ball, seed), 2))
+    for aux in desk_auxes(2000, MotifPattern.I) + desk_auxes(12704, MotifPattern.VI):
+        cases.append((aux, 2))
     sides = set()
     undefined = 0
     for aux, beta in cases:
@@ -273,7 +333,7 @@ def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
                 vol0 = sum(d for d, b in zip(aux.volumes, got[0]) if not b)
                 sides.add("cluster" if 2 * vol0 <= total else "complement")
     assert sides == {"cluster", "complement"} and undefined > 0
-    assert sum(displaced) >= 300
+    assert len(displaced) > 1000 and not any(displaced)
 
 
 def test_partition_search_toy():

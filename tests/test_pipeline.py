@@ -142,6 +142,13 @@ def test_config_validation(tmp_path):
         run_local_clustering(toy_config(tmp_path, eps_min=0.9, eps_max=0.5))
     with pytest.raises(InputError):
         run_local_clustering(toy_config(tmp_path, motif="9"))
+    for field, value, message in [
+        ("format", "csv", "format must be 'edgelist' or 'arb'"),
+        ("beta", 0, "beta must be >= 1, got 0"),
+        ("min_ball", 0, "min_ball must be >= 1, got 0"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            toy_config(tmp_path, **{field: value}).validate()
 
 
 def test_resolve_seed_edges_forms():
@@ -295,12 +302,61 @@ def test_run_benchmark_rows_and_overall(tmp_path):
     assert len(data_rows) == 3
     overall = [r for r in result.rows if r["graph"] == "Overall"]
     assert {r["method"] for r in overall} == {"core", "bfs"}
-    bfs_rows = [r for r in data_rows if r["method"] == "bfs" and r["phi"] != ""]
-    mean = sum(float(r["phi"]) for r in bfs_rows) / len(bfs_rows)
+    bfs_phis = [Fraction(r.phi_exact) for r in result.reports if r.method == "bfs"]
     bfs_overall = next(r for r in overall if r["method"] == "bfs")
-    assert float(bfs_overall["phi"]) == pytest.approx(mean, abs=1e-3)
+    assert bfs_overall["phi"] == f"{float(sum(bfs_phis) / len(bfs_phis)):.3f}"
     with pytest.raises(InputError):
         run_benchmark([])
+
+
+def test_bench_overall_row_averages_the_exact_phis(tmp_path, monkeypatch):
+    # each row renders its phi to 3 decimals, and a mean of those renderings
+    # can differ from the rendered mean: 0.077, 0.077, 0.078 average to
+    # 0.077, while the exact phis average to 0.07757
+    phis = iter(["774/10000", "774/10000", "779/10000"])
+    real = mpipe._query
+
+    def query(*args):
+        report, details = real(*args)
+        report.phi_exact = next(phis)
+        report.phi = mio.render_phi(Fraction(report.phi_exact))
+        return report, details
+
+    monkeypatch.setattr(mpipe, "_query", query)
+    configs = [toy_config(tmp_path, rng_seed=seed, beta=2) for seed in (1, 2, 3)]
+    result = run_benchmark(configs)
+    assert [r["phi"] for r in result.rows] == ["0.077", "0.077", "0.078", "0.078"]
+    assert result.rows[-1]["graph"] == "Overall"
+
+
+def test_bench_refuses_a_config_with_an_output_before_any_run(tmp_path, monkeypatch):
+    # every query of a bench entry would write the same file; output_dir
+    # names each query's report instead
+    loads = []
+    monkeypatch.setattr(mpipe, "_load", lambda config: loads.append(config))
+    out = tmp_path / "one.json"
+    configs = [toy_config(tmp_path), toy_config(tmp_path, output=str(out))]
+    with pytest.raises(InputError, match="'output_dir' writes its reports"):
+        run_benchmark(configs)
+    assert not loads and not out.exists()
+
+
+def test_bench_names_a_failed_query_by_its_loaded_dataset(tmp_path):
+    # a query that fails after its input loaded (here a seed edge too large
+    # for one block) is named as the entry's other rows are, not by its path
+    data = tmp_path / "contact.txt"
+    data.write_text(
+        "".join(" ".join(map(str, e)) + "\n" for e in synthetic_contact_edges(n_edges=2000))
+    )
+    configs = [
+        RunConfig(input=str(data), seed_edge="index:0", motif="VI", beta=2, min_ball=20),
+        RunConfig(input=str(data), seed_edge="index:1", motif="VI", beta=2, min_ball=4),
+    ]
+    result = run_benchmark(configs)
+    assert [r["graph"] for r in result.rows] == ["contact", "contact", "Overall"]
+    assert [r["phi"] != "" for r in result.rows[:2]] == [True, False]
+    ((graph, method, error),) = result.failures
+    assert (graph, method) == ("contact", "bfs") and "does not fit in one block" in error
 
 
 def test_run_benchmark_names_reports_by_motif(tmp_path):
@@ -330,7 +386,7 @@ def test_run_benchmark_refuses_to_overwrite_a_report(tmp_path):
     assert str(path) in result.failures[0][2]
     assert json.loads(path.read_text())["rng_seed"] == 1
     data_rows = [r for r in result.rows if r["graph"] != "Overall"]
-    assert [r["phi"] != "" for r in data_rows] == [True, False]
+    assert [(r["graph"], r["phi"] != "") for r in data_rows] == [("toy", True), ("toy", False)]
 
 
 def test_run_benchmark_fails_a_run_whose_report_cannot_be_written(tmp_path):
