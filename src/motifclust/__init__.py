@@ -3,8 +3,9 @@
 Given a hypergraph and a seed hyperedge, find a low-motif-conductance cluster
 around the seed: select a ball (core- or BFS-based), enumerate order-3 motif
 occurrences touching it, contract them into an auxiliary hypergraph, and
-repeatedly 2-way partition it under randomized imbalance, keeping the best
-motif conductance.
+2-way partition it for the best motif conductance: exactly by min cut when
+the ball holds at most half the motif volume, else by repeated FM
+refinement under randomized imbalance.
 """
 
 from .auxiliary import COMPLEMENT, AuxHypergraph, build_aux

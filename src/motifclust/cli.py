@@ -39,7 +39,7 @@ def main() -> None:
 @click.option("--motif", required=True, help="Motif pattern, 1..6 (or I..VI).")
 @click.option("--seed-edge", required=True, help="Seed selector: index:N, nodes:a,b,c, a bare comma list, or random:1.")
 @click.option("--alpha", type=int, default=RunConfig.alpha, show_default=True, help="BFS ball repetitions.")
-@click.option("--beta", type=int, default=RunConfig.beta, show_default=True, help="Partitioning restarts per ball.")
+@click.option("--beta", type=int, default=RunConfig.beta, show_default=True, help="FM restarts per ball holding over half the motif volume.")
 @click.option("--min-ball", type=int, default=RunConfig.min_ball, show_default=True, help="Minimum ball size.")
 @click.option("--eps-min", type=float, default=RunConfig.eps_min, show_default=True)
 @click.option("--eps-max", type=float, default=RunConfig.eps_max, show_default=True)

@@ -1,13 +1,15 @@
 """Phase four: 2-way cut-net partitioning of the auxiliary hypergraph.
 
 The auxiliary hypergraph is held as its doubled pair graph W, whose cut is
-twice the cut-net (see ``auxiliary``). Refinement is Fiduccia-Mattheyses on
-W, with one lazy max-gain heap per block, restarted under randomized
-imbalance. A heap entry is one int, ``key * N + v`` for node v with negated
-gain ``key`` among N aux nodes; as 0 <= v < N, the ints order exactly as
-(key, v) tuples would, so the moves are those of a tuple heap
-(``reference_fm_refine`` in ``tests/references.py``) without a tuple per
-entry. Block 0 is the cluster side and block 1 the other side. FM moves
+twice the cut-net (see ``auxiliary``). A ball holding at most half the motif
+volume is searched exactly by parametric min cut (``flow.least_ratio_cut``),
+with no restart and no size cap. On any other ball the search is
+Fiduccia-Mattheyses on W, with one lazy max-gain heap per block, restarted
+under randomized imbalance. A heap entry is one int, ``key * N + v`` for
+node v with negated gain ``key`` among N aux nodes; as 0 <= v < N, the ints
+order exactly as (key, v) tuples would, so the moves are those of a tuple
+heap (``reference_fm_refine`` in ``tests/references.py``) without a tuple
+per entry. Block 0 is the cluster side and block 1 the other side. FM moves
 every node but the fixed ones: the seed nodes stay in block 0 and the
 contracted node u stays in block 1, as fixed vertices do in FM with fixed
 vertices (Caldwell, Kahng & Markov, IEEE TCAD 2000). Every state FM visits
@@ -32,6 +34,7 @@ from typing import Callable, Sequence
 from .auxiliary import AuxHypergraph
 from .conductance import cut_net, motif_conductance
 from .errors import ConstraintError, InputError, RefinementError
+from .flow import least_ratio_cut
 
 Blocks = list[int]
 
@@ -225,12 +228,16 @@ def partition_search(
     rng: random.Random,
     total: int,
 ) -> tuple[Blocks, Fraction, int, int] | None:
-    """Best consistent partition over ``beta`` randomized-imbalance restarts.
+    """Best consistent partition: exact on a ball holding at most half the
+    motif volume, else over ``beta`` randomized-imbalance restarts.
 
     ``total`` is the global motif volume, so a state whose block 0 holds
     motif volume vol0 (summed from ``aux.volumes``) scores
-    motif_conductance(cut, vol0, total). Each run draws its own RNG stream
-    from the master rng, samples eps uniformly from ``eps_range``,
+    motif_conductance(cut, vol0, total). When 2 * sum(aux.volumes) <= total,
+    that is cut / vol0 for every consistent state, and the least one is
+    ``flow.least_ratio_cut``'s answer: no restart runs, and ``beta`` and
+    ``eps_range`` are only validated. Otherwise each run draws its own RNG
+    stream from the master rng, samples eps uniformly from ``eps_range``,
     initializes randomly and refines. Refinement minimizes the cut, so the
     best-conductance state is often mid-trajectory rather than final:
     ``fm_refine`` keeps the seeds in block 0 and offers every state it
@@ -249,10 +256,16 @@ def partition_search(
     if not (0 < lo <= hi):
         raise InputError(f"invalid eps range {eps_range!r}")
     best = _Best(total)
-    for _ in range(beta):
-        r = random.Random(rng.randrange(2**63))
-        eps = lo if lo == hi else r.uniform(lo, hi)
-        fm_refine(aux, random_feasible_partition(aux, eps, r), eps, best=best)
+    if 2 * sum(aux.volumes) <= total:  # phi(S) = cut(S) / vol(S) for every S in the ball
+        found = least_ratio_cut(aux)
+        if found is not None:
+            blocks, cut, vol0 = found
+            best.offer(cut, vol0, blocks.count(0), blocks)
+    else:
+        for _ in range(beta):
+            r = random.Random(rng.randrange(2**63))
+            eps = lo if lo == hi else r.uniform(lo, hi)
+            fm_refine(aux, random_feasible_partition(aux, eps, r), eps, best=best)
     if best.key is None:
         return None
     return (best.blocks, *best.key)

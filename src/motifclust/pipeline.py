@@ -9,7 +9,9 @@ they share the hypergraph and its lazy small-edge index.
 
 Phase 1 selects one core ball or up to alpha BFS balls; for each ball, phase 2
 enumerates the chosen motif pattern, phase 3 contracts the occurrences into the
-auxiliary hypergraph, and phase 4 searches beta randomized-imbalance partitions.
+auxiliary hypergraph, and phase 4 searches its partitions: exactly by min cut
+on a ball holding at most half the motif volume, else by beta
+randomized-imbalance FM restarts.
 The minimum-conductance consistent cluster across all balls wins and is mapped
 back to original labels.
 
@@ -112,14 +114,21 @@ class RunDetails:
 
 
 def arb_paths(prefix: str) -> tuple[str, str]:
-    """Resolve the ARB file pair from a prefix or a dataset directory.
+    """Resolve the ARB file pair from a prefix, a dataset directory or
+    either file of the pair.
 
     "<prefix>-nverts.txt" / "<prefix>-simplices.txt" must exist; a directory
-    path uses its basename as the prefix inside it.
+    path uses its basename as the prefix inside it, and an existing file
+    named like one of the pair names its pair's prefix.
     """
     if os.path.isdir(prefix):
         base = os.path.basename(os.path.normpath(prefix))
         prefix = os.path.join(prefix, base)
+    elif os.path.isfile(prefix):
+        for suffix in ("-nverts.txt", "-simplices.txt"):
+            if prefix.endswith(suffix):
+                prefix = prefix[: -len(suffix)]
+                break
     nverts = prefix + "-nverts.txt"
     simplices = prefix + "-simplices.txt"
     for path in (nverts, simplices):
@@ -132,7 +141,7 @@ def load_input(config: RunConfig) -> tuple[mio.ParseResult, str]:
     if config.format == "arb":
         nverts, simplices = arb_paths(config.input)
         parsed = mio.parse_arb_simplices(nverts, simplices)
-        default_name = os.path.basename(config.input.rstrip("/"))
+        default_name = os.path.basename(nverts).removesuffix("-nverts.txt")
     else:
         parsed = mio.parse_edge_list(config.input)
         default_name = os.path.splitext(os.path.basename(config.input))[0]

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from motifclust import RunConfig
+from motifclust import RunConfig, read_report
 from motifclust.cli import cluster, main
+from motifclust.testing import synthetic_contact_edges, write_arb_dataset
 
 
 def write_toy(path):
@@ -168,6 +169,47 @@ def test_cluster_command_no_motifs_exit_3(tmp_path):
     )
     assert result.exit_code == 3
     assert json.loads((tmp_path / "r.json").read_text())["status"] == "no-motifs"
+
+
+def write_contact_arb(tmp_path):
+    prefix = tmp_path / "c"
+    write_arb_dataset(
+        synthetic_contact_edges(n_nodes=30, n_edges=200),
+        f"{prefix}-nverts.txt",
+        f"{prefix}-simplices.txt",
+    )
+    return prefix
+
+
+def cluster_arb(tmp_path, given, out):
+    return CliRunner().invoke(
+        main,
+        ["cluster", "--format", "arb", "--input", given, "--motif", "III",
+         "--seed-edge", "index:3", "--beta", "2", "--min-ball", "10",
+         "--output", str(tmp_path / out)],
+    )
+
+
+def test_cluster_command_takes_either_arb_file_as_its_prefix(tmp_path):
+    # "c-nverts.txt" and "c-simplices.txt" name the pair that "c" names, and
+    # the dataset is "c" for all three spellings
+    prefix = write_contact_arb(tmp_path)
+    reports = []
+    for i, given in enumerate((str(prefix), f"{prefix}-nverts.txt", f"{prefix}-simplices.txt")):
+        result = cluster_arb(tmp_path, given, f"r{i}.json")
+        assert result.exit_code == 0, result.output
+        reports.append(read_report(str(tmp_path / f"r{i}.json")))
+    assert reports[0].status == "ok" and reports[0].dataset == "c"
+    assert {r.canonical_json() for r in reports} == {reports[0].canonical_json()}
+
+
+@pytest.mark.parametrize("given,missing", [("nverts", "simplices"), ("simplices", "nverts")])
+def test_cluster_command_names_the_missing_partner_arb_file_exit_2(tmp_path, given, missing):
+    prefix = write_contact_arb(tmp_path)
+    os.remove(f"{prefix}-{missing}.txt")
+    result = cluster_arb(tmp_path, f"{prefix}-{given}.txt", "r.json")
+    assert result.exit_code == 2
+    assert f"ARB input file not found: {prefix}-{missing}.txt\n" in result.output
 
 
 def test_env_var_override(tmp_path):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import motifclust.partition as mp
 from motifclust import (
     MotifPattern,
     RunConfig,
@@ -53,9 +54,12 @@ def dataset(tmp_path_factory):
     return prefix
 
 
-@pytest.mark.parametrize("pattern,method", sorted(GOLDEN))
-def test_golden_report_digest(dataset, pattern, method):
-    config = RunConfig(
+def digest(report):
+    return hashlib.sha256(report.canonical_json().encode()).hexdigest()
+
+
+def golden_config(dataset, pattern, method):
+    return RunConfig(
         input=dataset,
         format="arb",
         method=method,
@@ -65,11 +69,14 @@ def test_golden_report_digest(dataset, pattern, method):
         rng_seed=7,
         dataset="golden",
     )
-    report = run_local_clustering(config)
+
+
+@pytest.mark.parametrize("pattern,method", sorted(GOLDEN))
+def test_golden_report_digest(dataset, pattern, method):
+    report = run_local_clustering(golden_config(dataset, pattern, method))
     parsed = parse_arb_simplices(dataset + "-nverts.txt", dataset + "-simplices.txt")
     assert_exact_answer(report, parsed, pattern)
-    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
-    assert digest == GOLDEN[(pattern, method)]
+    assert digest(report) == GOLDEN[(pattern, method)]
 
 
 def assert_exact_answer(report, parsed, pattern):
@@ -95,37 +102,46 @@ def assert_exact_answer(report, parsed, pattern):
 RING_SEED_EDGE = 281
 
 RING_GOLDEN = {
-    ("I", "core"): "91b85cd52d055ec430049eaebceb0fa176b5c08d010531dc3fb665c19da9805f",
+    ("I", "core"): "91c69bf1133c34019a21893d5b311b6679ca481bacff6862623d956eca69766c",
     ("I", "bfs"): "b76a4a7fa67ab84abf2d265629a3f5a243d12186ba45b5cfc7cfc3d68d6f1e81",
-    ("II", "core"): "3fcad7c8169e9c04f16d81fb4432bd8d09351efeab304e4935b212818dfa7809",
-    ("II", "bfs"): "49e212244f7f9c7d215ff8ccc29fd5f746c43b2a49a016411959223acb962f34",
-    ("IV", "core"): "72448e1e9383ecb32930af4d7475b4da3373dd223325490dd75cccaad7cef538",
-    ("IV", "bfs"): "2e31588418d689ed95f46bed2eb535ea8fd664000949e6f804a83fbf7bc87ee7",
+    ("II", "core"): "95874cbf071997133340a566668b82ac6fd6fc02fb3a846c75a0793b40caa3cd",
+    ("II", "bfs"): "b982143a4b6ed8b476335d535401ea23b2a99c0e4ea85cd46443c4c614a6d681",
+    ("IV", "core"): "ee8adf3907e26c9e85ada111d4fe3077faca20e6630324492c1e25290dc22f05",
+    ("IV", "bfs"): "e3dc941a77a18444bdf2d399fb5e2eb314039782ab9ce0b6abe4f3d53c6e326d",
 }
 
 
 @pytest.fixture(scope="module")
-def ring(tmp_path_factory):
-    """The parsed ring and each pinned query's report and run details."""
+def ring_prefix(tmp_path_factory):
     edges, hill = ring_contact_edges(5, n_groups=36, edges_per_group=150)
     assert RING_SEED_EDGE in hill
     prefix = str(tmp_path_factory.mktemp("ring") / "ring")
     write_arb_dataset(edges, prefix + "-nverts.txt", prefix + "-simplices.txt")
-    parsed = parse_arb_simplices(prefix + "-nverts.txt", prefix + "-simplices.txt")
+    return prefix
+
+
+def ring_config(prefix, pattern, method):
+    return RunConfig(
+        input=prefix,
+        format="arb",
+        method=method,
+        motif=pattern,
+        seed_edge=f"index:{RING_SEED_EDGE}",
+        beta=4,
+        rng_seed=3,
+        dataset="ring",
+    )
+
+
+@pytest.fixture(scope="module")
+def ring(ring_prefix):
+    """The parsed ring and each pinned query's report and run details."""
+    parsed = parse_arb_simplices(ring_prefix + "-nverts.txt", ring_prefix + "-simplices.txt")
     assert parsed.hypergraph.n == 761
-    runs = {}
-    for pattern, method in RING_GOLDEN:
-        config = RunConfig(
-            input=prefix,
-            format="arb",
-            method=method,
-            motif=pattern,
-            seed_edge=f"index:{RING_SEED_EDGE}",
-            beta=4,
-            rng_seed=3,
-            dataset="ring",
-        )
-        runs[(pattern, method)] = run_local_clustering(config, return_details=True)
+    runs = {
+        key: run_local_clustering(ring_config(ring_prefix, *key), return_details=True)
+        for key in RING_GOLDEN
+    }
     return parsed, runs
 
 
@@ -135,8 +151,7 @@ def test_ring_golden_report_digest(ring, pattern, method):
     report, details = runs[(pattern, method)]
     assert all(2 * len(ball.nodes) < parsed.hypergraph.n for ball in details.balls)
     assert_exact_answer(report, parsed, pattern)
-    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
-    assert digest == RING_GOLDEN[(pattern, method)]
+    assert digest(report) == RING_GOLDEN[(pattern, method)]
 
 
 def test_ring_wedges_reach_past_the_closed_neighborhood(ring):
@@ -149,3 +164,27 @@ def test_ring_wedges_reach_past_the_closed_neighborhood(ring):
         region = parsed.hypergraph.closed_neighborhood(details.winning_ball.nodes)
         beyond += sum(not region.issuperset(t) for t in details.occurrences)
     assert beyond > 0
+
+
+def test_only_balls_above_half_the_motif_volume_run_fm(dataset, ring_prefix, monkeypatch):
+    # phase 4 runs FM only on a ball that holds more than half the motif
+    # volume. Every ring ball holds less, so its search is the flow and
+    # starts no restart; the desk-I core ball holds more, and its search
+    # runs beta restarts. The calls are counted on the names the benchmark's
+    # tracer wraps, and the answers are the pinned ones
+    calls = {"random_feasible_partition": 0, "fm_refine": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(mp, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+    for key in sorted(RING_GOLDEN):
+        assert digest(run_local_clustering(ring_config(ring_prefix, *key))) == RING_GOLDEN[key]
+    assert calls == {"random_feasible_partition": 0, "fm_refine": 0}
+    report, details = run_local_clustering(
+        golden_config(dataset, "I", "core"), return_details=True
+    )
+    assert len(details.balls) == 1
+    assert calls == {"random_feasible_partition": 4, "fm_refine": 4}  # beta = 4
+    assert digest(report) == GOLDEN[("I", "core")]

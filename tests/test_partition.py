@@ -16,6 +16,7 @@ from motifclust import (
     cut_net,
     enumerate_motifs,
     fm_refine,
+    motif_conductance,
     partition_search,
     random_feasible_partition,
 )
@@ -290,12 +291,14 @@ def test_fm_refine_matches_the_tuple_heap_reference():
 
 
 def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
-    # fm_refine's own vol0 tracking finds the same winner as the observer
-    # that recounts it at each pass start: equal (blocks, phi, cut, size0),
-    # or None on both sides, with light and heavy weights, on desk-I and
-    # desk-VI balls, at a binding and at looser size bounds, and with totals
-    # on both sides of 2 * sum(volumes), so both volume sides win. No restart
-    # ends with a seed outside block 0, so no end state needs scoring apart
+    # where FM runs, on balls holding more than half the motif volume
+    # (total < 2 * sum(volumes)), fm_refine's own vol0 tracking finds the
+    # same winner as the observer that recounts it at each pass start: equal
+    # (blocks, phi, cut, size0), or None on both sides, with light and heavy
+    # weights, on desk-I and desk-VI balls, at a binding and at looser size
+    # bounds, and with totals on either side of sum(volumes) * 3 / 2, so
+    # both volume sides win. No restart ends with a seed outside block 0, so
+    # no end state needs scoring apart
     displaced = []
 
     def counting_fm_refine(aux, blocks, eps, observer=None, best=None):
@@ -319,7 +322,8 @@ def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
     undefined = 0
     for aux, beta in cases:
         volume = sum(aux.volumes)
-        for total in (volume + rng.randrange(volume), 2 * volume + rng.randint(1, 2 * volume)):
+        half = volume // 2
+        for total in (volume + rng.randrange(half + 1), volume + half + rng.randrange(volume - half)):
             for eps_range in ((0.03, 0.03), (0.03, 0.5), (0.5, 1.0)):
                 seed = rng.randrange(2**32)
                 got = partition_search(aux, beta, eps_range, random.Random(seed), total)
@@ -363,7 +367,7 @@ def test_partition_search_beta_one_and_validation():
 def test_partition_search_monotone_in_beta():
     rng = random.Random(8)
     aux = random_aux(rng)
-    total = 2 * sum(aux.volumes)
+    total = 2 * sum(aux.volumes) - 1  # FM runs only where the ball outweighs half
 
     phis = []
     for beta in (1, 4, 16):
@@ -410,3 +414,62 @@ def test_partition_search_matches_exhaustive_toy_scale():
         if (best is None and got is None) or got == best:
             hits += 1
     assert hits >= 95
+
+
+def brute_least_keys(aux, total):
+    """Brute force over every consistent partition: the least (phi, cut,
+    size0) key, and the inclusion-minimal block 0 among the minimizers of
+    cut - phi * vol0, where phi is the least phi. None, None when no
+    partition has a defined phi."""
+    states = []
+    for blocks in all_consistent_partitions(aux):
+        vol0 = sum(d for d, b in zip(aux.volumes, blocks) if not b)
+        states.append((blocks, cut_net(aux, blocks), vol0))
+    keys = [
+        (motif_conductance(cut, vol0, total), cut, blocks.count(0))
+        for blocks, cut, vol0 in states
+    ]
+    defined = [key for key in keys if key[0] is not None]
+    if not defined:
+        return None, None
+    least = min(defined)
+    minimal = set(range(aux.num_nodes))
+    for blocks, cut, vol0 in states:
+        if cut == least[0] * vol0:  # a minimizer, with or without motif volume
+            minimal &= {v for v, b in enumerate(blocks) if not b}
+    return least, minimal
+
+
+def test_exact_search_on_a_ball_with_at_most_half_the_volume_matches_brute_force():
+    # with 2 * sum(volumes) <= total, partition_search is the flow search:
+    # its phi is the least over every consistent partition, and where the
+    # inclusion-minimal least-ratio side holds motif volume, its whole key
+    # (phi, cut, size0) is the least too. That side is volume-free exactly
+    # when the seeds lie in no occurrence (the seeds alone are then a
+    # minimizer); phi is still the least there
+    rng = random.Random(71)
+    keyed = volume_free = seeds_without_volume = 0
+    for i in range(2000):
+        ball, edges, seeds = random_hyperedges(rng)
+        scale = 1 if i % 2 else rng.choice((7, 40, 1000))
+        aux = aux_from_hyperedges(
+            ball, [(m, w * scale) for m, w in sorted(edges.items())], seed_nodes=seeds
+        )
+        volume = sum(aux.volumes)
+        total = 2 * volume + rng.choice((0, rng.randint(1, 4 * volume)))
+        seeds_without_volume += not sum(aux.volumes[s] for s in aux.seed_nodes)
+        found = partition_search(aux, 3, (0.03, 0.5), random.Random(i), total)
+        least, minimal = brute_least_keys(aux, total)
+        if least is None:
+            assert found is None
+            continue
+        assert found[1] == least[0]
+        assert cut_net(aux, found[0]) == found[2] and found[0].count(0) == found[3]
+        if sum(aux.volumes[v] for v in minimal):
+            assert found[1:] == least
+            assert {v for v, b in enumerate(found[0]) if not b} == minimal
+            keyed += 1
+        else:
+            volume_free += 1
+    assert keyed > 1800 and volume_free == seeds_without_volume > 50
+
