@@ -8,7 +8,7 @@ the ball holds at most half the motif volume, else by repeated FM
 refinement under randomized imbalance.
 """
 
-from .auxiliary import COMPLEMENT, AuxHypergraph, build_aux
+from .auxiliary import AuxHypergraph, build_aux
 from .balls import Ball, CoreDecomposition, bfs_balls, core_ball, nbr_core_decomposition
 from .conductance import (
     ConductanceResult,
@@ -49,7 +49,6 @@ __all__ = [
     "Ball",
     "BenchmarkResult",
     "BudgetExceededError",
-    "COMPLEMENT",
     "ClusterReport",
     "ConductanceResult",
     "ConstraintError",

@@ -20,8 +20,6 @@ from typing import Iterable, Sequence
 
 from .errors import ConstraintError, InputError
 
-COMPLEMENT = "complement"  # back_map symbol for the contracted node u
-
 
 class AuxHypergraph:
     """The doubled pair graph W on ball nodes 0..u-1 plus the contracted node u.
@@ -29,7 +27,8 @@ class AuxHypergraph:
     ``pairs`` lists W as (a, b, weight) with a < b, and ``neighbors[v]`` holds
     v's (x, weight) entries of W. ``volumes[a]`` is the motif degree of ball
     node a, half its W degree, and ``volumes[u]`` is 0: u stands for nodes
-    outside the ball. ``edges`` and ``num_edges`` view W's pairs as
+    outside the ball. ``back_map[a]`` is ball node a's hypergraph node id;
+    u has none. ``edges`` and ``num_edges`` view W's pairs as
     ((a, b), weight) entries and count them.
     """
 
@@ -73,7 +72,7 @@ class AuxHypergraph:
         back_map = range(u) if back_map is None else back_map
         if len(back_map) != u:
             raise InputError("back_map must cover exactly the ball nodes")
-        self.back_map: tuple = tuple(back_map) + (COMPLEMENT,)
+        self.back_map = tuple(back_map)
 
     @property
     def num_edges(self) -> int:

@@ -141,10 +141,10 @@ def core_ball(
     hyperedge survives), descend k and take the component containing the seed
     inside the strongly-induced subhypergraph on {v : core(v) >= k}; return the
     first component with >= min_size nodes, or the k = 1 component if none does.
+    Every component holds the seed, so a ``min_size`` below the seed's size
+    gives the ball that the seed's size does.
     """
     members = _require_seed_edge(H, seed)
-    if min_size < len(members):
-        raise InputError(f"min_size {min_size} smaller than the seed ({len(members)} nodes)")
     decomp = decomposition if decomposition is not None else nbr_core_decomposition(H, members)
     k_star = max(1, min(decomp.core_number[v] for v in members))
     comp: frozenset[int] = frozenset(members)

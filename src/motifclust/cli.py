@@ -33,8 +33,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Dataset path (edge list file, or ARB prefix/directory).")
-@click.option("--format", "fmt", type=click.Choice(["edgelist", "arb"]), default=RunConfig.format, show_default=True)
+@click.option("--input", required=True, help="Dataset path (edge list file, or ARB prefix/directory).")
+@click.option("--format", type=click.Choice(["edgelist", "arb"]), default=RunConfig.format, show_default=True)
 @click.option("--method", type=click.Choice(["core", "bfs"]), default=RunConfig.method, show_default=True)
 @click.option("--motif", required=True, help="Motif pattern, 1..6 (or I..VI).")
 @click.option("--seed-edge", required=True, help="Seed selector: index:N, nodes:a,b,c, a bare comma list, or random:1.")
@@ -46,26 +46,9 @@ def main() -> None:
 @click.option("--rng-seed", type=int, default=RunConfig.rng_seed, show_default=True)
 @click.option("--output", required=True, help="Report path (JSON), or '-' for stdout.")
 @click.option("--dataset", default=None, help="Dataset name for the report (defaults to the input filename).")
-def cluster(
-    input_path, fmt, method, motif, seed_edge, alpha, beta, min_ball,
-    eps_min, eps_max, rng_seed, output, dataset,
-) -> None:
+def cluster(output, **fields) -> None:
     """Run the four-phase local clustering pipeline once and write a report."""
-    config = RunConfig(
-        input=input_path,
-        format=fmt,
-        method=method,
-        motif=motif,
-        seed_edge=seed_edge,
-        alpha=alpha,
-        beta=beta,
-        min_ball=min_ball,
-        eps_min=eps_min,
-        eps_max=eps_max,
-        rng_seed=rng_seed,
-        output=None if output == "-" else output,
-        dataset=dataset,
-    )
+    config = RunConfig(output=None if output == "-" else output, **fields)
     try:
         report = run_local_clustering(config)
     except InputError as exc:

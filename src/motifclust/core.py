@@ -55,16 +55,6 @@ class Hyperedge:
         if mem[0] < 0:
             raise InputError(f"negative node id in hyperedge {mem!r}")
 
-    @staticmethod
-    def of(members: Iterable[int]) -> "Hyperedge":
-        return Hyperedge(canonical_members(members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
 
 def _incidence(n: int, members: list[Members]) -> list[list[int]] | None:
     """Each node's incident hyperedge indices, in one pass that checks every
@@ -90,16 +80,11 @@ class Hypergraph:
     node degree is ``len(incidence[v])``.
     """
 
-    def __init__(self, n: int, edges: Iterable[Hyperedge | Sequence[int]]):
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise InputError(f"node count must be >= 0, got {n}")
         self._n = n
-        members = [
-            mem if type(mem) is tuple
-            else mem.members if isinstance(mem, Hyperedge)
-            else canonical_members(mem)
-            for mem in edges
-        ]
+        members = [mem if type(mem) is tuple else canonical_members(mem) for mem in edges]
         incidence = None
         if {int}.issuperset(map(type, chain.from_iterable(members))):
             incidence = _incidence(n, members)

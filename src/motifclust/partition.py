@@ -235,15 +235,18 @@ def partition_search(
     motif volume vol0 (summed from ``aux.volumes``) scores
     motif_conductance(cut, vol0, total). When 2 * sum(aux.volumes) <= total,
     that is cut / vol0 for every consistent state, and the least one is
-    ``flow.least_ratio_cut``'s answer: no restart runs, and ``beta`` and
-    ``eps_range`` are only validated. Otherwise each run draws its own RNG
-    stream from the master rng, samples eps uniformly from ``eps_range``,
-    initializes randomly and refines. Refinement minimizes the cut, so the
-    best-conductance state is often mid-trajectory rather than final:
-    ``fm_refine`` keeps the seeds in block 0 and offers every state it
-    visits, the run's end state among them, to the search's ``_Best``
-    record. Ties break by smaller cut-net, then smaller block 0, then first
-    found.
+    ``flow.least_ratio_cut``'s answer: no restart runs, there is no size
+    cap, and ``beta`` and ``eps_range`` are only validated. Otherwise FM
+    searches the ball, and every restart caps both blocks at no less than
+    ``size_bound(aux.num_nodes, eps_range[0])`` nodes; a seed larger than
+    that cap raises InputError before the first restart. Each run draws its
+    own RNG stream from the master rng, samples eps uniformly from
+    ``eps_range``, initializes randomly and refines. Refinement minimizes
+    the cut, so the best-conductance state is often mid-trajectory rather
+    than final: ``fm_refine`` keeps the seeds in block 0 and offers every
+    state it visits, the run's end state among them, to the search's
+    ``_Best`` record. Ties break by smaller cut-net, then smaller block 0,
+    then first found.
 
     Returns ``(blocks, phi, cut, size0)`` of the winner, with ``cut`` its
     cut-net and ``size0`` the node count of its block 0, so that
@@ -262,6 +265,13 @@ def partition_search(
             blocks, cut, vol0 = found
             best.offer(cut, vol0, blocks.count(0), blocks)
     else:
+        bound = size_bound(aux.num_nodes, lo)
+        if len(aux.seed_nodes) > bound:
+            raise InputError(
+                f"the {len(aux.seed_nodes)}-node seed hyperedge does not fit in one block "
+                f"of a {aux.u}-node ball at eps {lo} (at most {bound} nodes); "
+                "raise --min-ball or --eps-min"
+            )
         for _ in range(beta):
             r = random.Random(rng.randrange(2**63))
             eps = lo if lo == hi else r.uniform(lo, hi)

@@ -49,7 +49,7 @@ from .conductance import motif_conductance
 from .core import Hypergraph
 from .errors import InputError, InternalError, ParseError
 from .motifs import MotifPattern, count_motifs, enumerate_motifs, motif_degrees
-from .partition import cut_net, partition_search, size_bound
+from .partition import cut_net, partition_search
 
 _PHASES = ("ingest", "ball", "enumerate", "aux", "partition", "total")
 
@@ -104,13 +104,11 @@ class RunDetails:
 
     hypergraph: Hypergraph
     labels: list
-    seed_index: int
     balls: list[Ball]
     winning_ball: Ball | None = None
     occurrences: list[tuple[int, int, int]] = field(default_factory=list)
     aux: AuxHypergraph | None = None
     blocks: list[int] | None = None
-    phi: Fraction | None = None
 
 
 def arb_paths(prefix: str) -> tuple[str, str]:
@@ -239,25 +237,16 @@ def _query(
 
     t0 = time.perf_counter()
     if config.method == "core":
-        balls = [core_ball(H, seed_members, max(config.min_ball, len(seed_members)))]
+        balls = [core_ball(H, seed_members, config.min_ball)]
     else:
         balls = bfs_balls(H, seed_members, config.alpha, config.min_ball)
-    # each restart keeps the seed in one block, capped at no less than this
-    smallest = min(len(ball.nodes) for ball in balls)
-    bound = size_bound(smallest + 1, config.eps_min)
-    if len(seed_members) > bound:
-        raise InputError(
-            f"the {len(seed_members)}-node seed hyperedge does not fit in one block "
-            f"of a {smallest}-node ball at eps {config.eps_min} (at most {bound} "
-            f"nodes); raise --min-ball or --eps-min"
-        )
     times["ball"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     total = 3 * count_motifs(H, pattern)
     times["enumerate"] = time.perf_counter() - t0
 
-    details = RunDetails(H, parsed.labels, seed_index, balls)
+    details = RunDetails(H, parsed.labels, balls)
     ball_seeds = [rng.randrange(2**63) for _ in balls]
     winner = None  # (found, ball, M, aux) of the best ball so far
     any_motifs = False
@@ -333,7 +322,6 @@ def _query(
         details.occurrences = M
         details.aux = aux
         details.blocks = blocks
-        details.phi = phi
     times["total"] = ingest + time.perf_counter() - t_start
     report.timings = {k: round(v, 6) for k, v in times.items()}
     return report, details

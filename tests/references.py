@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from motifclust.auxiliary import AuxHypergraph
 from motifclust.balls import CoreDecomposition
 from motifclust.conductance import cut_net, motif_conductance
-from motifclust.core import Hyperedge, Hypergraph
+from motifclust.core import Hypergraph
 from motifclust.errors import ConstraintError, InputError, ParseError, RefinementError
 from motifclust.io import ParseResult
 from motifclust.partition import (
@@ -354,8 +354,7 @@ def _reference_result(raw_edges: list[tuple], dropped: int, source: str) -> Pars
             keys[key] = None
     if not keys:
         raise InputError(f"no usable hyperedges in {source} after cleaning")
-    edges = [Hyperedge(key) for key in keys]
-    return ParseResult(Hypergraph(len(labels), edges), labels, dropped, merged)
+    return ParseResult(Hypergraph(len(labels), list(keys)), labels, dropped, merged)
 
 
 def reference_parse_edge_list(source) -> ParseResult:

@@ -160,7 +160,7 @@ def test_criterion_4_pipeline_optimality_toy_scale():
         H = random_connected_hypergraph(
             rng, n, rng.uniform(0.15, 0.35), rng.uniform(0.06, 0.18)
         )
-        triad_edges = [i for i in range(H.num_edges) if len(H.edge(i)) == 3]
+        triad_edges = [i for i in range(H.num_edges) if len(H.members[i]) == 3]
         if not triad_edges:
             continue
         seed = H.edge(rng.choice(triad_edges)).members

@@ -4,7 +4,6 @@ from itertools import cycle
 import pytest
 
 from motifclust import (
-    COMPLEMENT,
     AuxHypergraph,
     ConstraintError,
     Hypergraph,
@@ -34,7 +33,7 @@ def test_build_aux_toy():
     assert aux.u == 3
     assert reference_aux_hyperedges(M, {0, 1, 2}) == {(0, 1, 2): 1, (2, 3): 1}
     assert aux.pairs == ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2))
-    assert aux.back_map == (0, 1, 2, COMPLEMENT)
+    assert aux.back_map == (0, 1, 2)
 
 
 def test_build_aux_merges_parallel_crossing_edges():
@@ -97,7 +96,7 @@ def _assert_matches_reference(H, ball, seed):
             continue
         aux = build_aux(M, ball, seed)
         ref = aux_from_hyperedges(
-            aux.u, reference_aux_hyperedges(M, ball).items(), aux.seed_nodes, aux.back_map[:-1]
+            aux.u, reference_aux_hyperedges(M, ball).items(), aux.seed_nodes, aux.back_map
         )
         assert {(a, b): w for a, b, w in aux.pairs} == {(a, b): w for a, b, w in ref.pairs}
         assert aux.volumes == ref.volumes
@@ -163,7 +162,7 @@ def test_aux_accepts_a_valid_pair_graph():
     assert aux.volumes == (1, 1, 0, 0)
     assert aux.edges == (((0, 1), 1), ((0, 3), 1), ((1, 3), 1))
     assert aux.num_edges == 3
-    assert aux.back_map == (7, 8, 9, COMPLEMENT)
+    assert aux.back_map == (7, 8, 9)
 
 
 def test_build_aux_rejects_outside_occurrence():

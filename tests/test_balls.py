@@ -120,12 +120,19 @@ def test_core_ball_stays_in_seed_component():
     assert ball.nodes == {0, 1, 2}
 
 
-def test_core_ball_rejects_non_edges_and_small_min_size():
+def test_core_ball_rejects_non_edges_and_floors_min_size_at_the_seed():
     H = Hypergraph.from_members([[0, 1, 2]])
     with pytest.raises(InputError):
         core_ball(H, [0, 1], min_size=2)
-    with pytest.raises(InputError):
-        core_ball(H, [0, 1, 2], min_size=2)
+    # every component holds the seed, so a min_size below the seed's size
+    # gives the ball the seed's size gives
+    rng = random.Random(11)
+    for _ in range(20):
+        H = random_hypergraph(rng, rng.randint(6, 14), 0.2, 0.1, big_edge_p=0.02)
+        for seed in H.members:
+            ball = core_ball(H, seed, min_size=len(seed))
+            for min_size in range(1, len(seed)):
+                assert core_ball(H, seed, min_size=min_size) == ball, (H.members, seed)
 
 
 def test_bfs_layers_path():

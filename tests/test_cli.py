@@ -101,9 +101,8 @@ def test_cluster_command_bad_random_count_exit_2(tmp_path):
 def test_cluster_option_defaults_are_the_run_config_defaults():
     # every cluster option is a RunConfig field, and every optional one
     # defaults to the field's default
-    field_of = {"input_path": "input", "fmt": "format"}
     defaults = {f.name: f.default for f in fields(RunConfig)}
-    options = {field_of.get(p.name, p.name): p for p in cluster.params}
+    options = {p.name: p for p in cluster.params}
     assert options.keys() == defaults.keys()
     optional = {name: p.default for name, p in options.items() if not p.required}
     assert set(optional) == {"format", "method", "alpha", "beta", "min_ball", "eps_min",
@@ -225,6 +224,19 @@ def test_env_var_override(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(out.read_text())["params"]["beta"] == 7
+
+
+def test_env_vars_for_input_and_format_are_named_after_their_flags(tmp_path):
+    prefix = write_contact_arb(tmp_path)
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(
+        main,
+        ["cluster", "--motif", "III", "--seed-edge", "index:3", "--beta", "2",
+         "--min-ball", "10", "--output", str(out)],
+        env={"MOTIFCLUST_CLUSTER_INPUT": str(prefix), "MOTIFCLUST_CLUSTER_FORMAT": "arb"},
+    )
+    assert result.exit_code == 0, result.output
+    assert read_report(str(out)).dataset == "c"
 
 
 def test_bench_command(tmp_path):

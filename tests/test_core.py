@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from motifclust import Hyperedge, Hypergraph, InputError
+from motifclust.core import canonical_members
 from motifclust.testing import random_hypergraph, synthetic_contact_edges
 
 
@@ -90,8 +91,8 @@ def test_edge_is_range_checked():
 def test_constructor_canonicalises_raw_members_and_keeps_canonical_ones():
     # unsorted or repeating raw members are canonicalised, not trusted
     assert Hypergraph(3, [(2, 0), [1, 1, 0]]).members == ((0, 2), (0, 1))
-    # a passed-in Hyperedge and a canonical tuple are kept as they are
-    H = Hypergraph(4, [Hyperedge((1, 3)), (0, 1, 2), iter([3, 0])])
+    # a canonical tuple is kept as it is
+    H = Hypergraph(4, [(1, 3), (0, 1, 2), iter([3, 0])])
     assert H.members == ((1, 3), (0, 1, 2), (0, 3))
     # members that are no ints are converted, as canonical_members does
     H = Hypergraph(3, [(0.0, 2.0), (False, True)])
@@ -123,10 +124,15 @@ def test_duplicate_edges_rejected_at_construction():
 
 
 def test_hyperedge_canonical_form():
-    e = Hyperedge.of([2, 0, 1, 1])
-    assert e.members == (0, 1, 2)
+    assert canonical_members([2, 0, 1, 1]) == (0, 1, 2)
     with pytest.raises(InputError):
-        Hyperedge.of([3])
+        canonical_members([3])
+
+
+def test_hypergraph_rejects_a_repeated_hyperedge_object():
+    # a repeated canonical tuple is caught on the constructor's fast path
+    with pytest.raises(InputError, match="duplicate hyperedge"):
+        Hypergraph(3, [(0, 1), (0, 1)])
 
 
 @pytest.mark.parametrize("members", [(1, 0), (0,), (0, 0), (-1, 2), [0, 1]])
@@ -138,11 +144,6 @@ def test_hyperedge_rejects_non_canonical_members(members):
 def test_hypergraph_rejects_an_out_of_range_node():
     with pytest.raises(InputError, match="references node >= n=2"):
         Hypergraph(2, [[0, 2]])
-
-
-def test_hypergraph_rejects_a_repeated_hyperedge_object():
-    with pytest.raises(InputError, match="duplicate hyperedge"):
-        Hypergraph(3, [Hyperedge((0, 1)), Hyperedge((0, 1))])
 
 
 def test_neighbor_symmetry_randomized():

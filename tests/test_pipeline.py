@@ -3,6 +3,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +27,16 @@ from motifclust.testing import synthetic_contact_edges, write_arb_dataset
 
 
 TOY = "a b v\nv c d\n"
+
+
+def write_groups(path, groups):
+    """``groups`` disjoint 6-node groups, each with every dyad and triad, after
+    a 5-node seed hyperedge (index 0) inside the first group."""
+    edges = [range(5)]
+    for g in range(groups):
+        nodes = range(6 * g, 6 * g + 6)
+        edges += [*combinations(nodes, 2), *combinations(nodes, 3)]
+    path.write_text("".join(" ".join(map(str, e)) + "\n" for e in edges))
 
 
 def toy_config(tmp_path, **overrides):
@@ -343,14 +354,13 @@ def test_bench_refuses_a_config_with_an_output_before_any_run(tmp_path, monkeypa
 
 def test_bench_names_a_failed_query_by_its_loaded_dataset(tmp_path):
     # a query that fails after its input loaded (here a seed edge too large
-    # for one block) is named as the entry's other rows are, not by its path
+    # for one block of the ball FM searches) is named as the entry's other
+    # rows are, not by its path
     data = tmp_path / "contact.txt"
-    data.write_text(
-        "".join(" ".join(map(str, e)) + "\n" for e in synthetic_contact_edges(n_edges=2000))
-    )
+    write_groups(data, 1)
     configs = [
-        RunConfig(input=str(data), seed_edge="index:0", motif="VI", beta=2, min_ball=20),
-        RunConfig(input=str(data), seed_edge="index:1", motif="VI", beta=2, min_ball=4),
+        RunConfig(input=str(data), seed_edge="index:0", motif="VI", beta=2, min_ball=4, eps_min=0.4),
+        RunConfig(input=str(data), seed_edge="index:0", motif="VI", beta=2, min_ball=4),
     ]
     result = run_benchmark(configs)
     assert [r["graph"] for r in result.rows] == ["contact", "contact", "Overall"]
@@ -418,17 +428,41 @@ def test_dataset_smaller_than_min_ball_still_completes(tmp_path):
 
 
 def test_seed_larger_than_the_block_bound_is_an_input_error(tmp_path):
-    # the first BFS ball is the 5-node seed itself, and one block of a
-    # 6-node aux holds at most ceil(1.03 * 3) = 4 nodes
+    # the first BFS ball is the 5-node seed itself, which holds over half the
+    # motif volume, so FM searches it; one block of its 6-node aux holds at
+    # most ceil(1.03 * 3) = 4 nodes
     data = tmp_path / "contact.txt"
-    data.write_text(
-        "".join(" ".join(map(str, e)) + "\n" for e in synthetic_contact_edges(n_edges=2000))
-    )
+    write_groups(data, 1)
     config = RunConfig(
-        input=str(data), seed_edge="index:1", motif="VI", method="bfs", min_ball=4
+        input=str(data), seed_edge="index:0", motif="VI", method="bfs", min_ball=4
     )
     with pytest.raises(InputError, match="5-node seed .* 5-node ball .* --min-ball or --eps-min"):
         run_local_clustering(config)
+
+
+@pytest.mark.parametrize("method", ["core", "bfs"])
+def test_the_seed_fit_rule_refuses_only_balls_fm_searches(tmp_path, method):
+    # one group: each ball holds over half the motif volume, so FM searches
+    # it, and a block holds at most 4 of the 5 seed nodes: ceil(1.03 * 7 / 2)
+    # for the 6-node core ball, ceil(1.03 * 6 / 2) for the first BFS ball
+    one = tmp_path / "one.txt"
+    write_groups(one, 1)
+    config = RunConfig(input=str(one), seed_edge="index:0", motif="VI", method=method, min_ball=1)
+    ball = 6 if method == "core" else 5  # the first BFS ball is the seed
+    with pytest.raises(
+        InputError,
+        match=f"^the 5-node seed hyperedge does not fit in one block of a {ball}-node ball "
+        r"at eps 0.03 \(at most 4 nodes\); raise --min-ball or --eps-min$",
+    ):
+        run_local_clustering(config)
+    # two groups: every ball holds at most half the motif volume, so the
+    # flow search, which has no size cap, answers with the seed's group
+    two = tmp_path / "two.txt"
+    write_groups(two, 2)
+    config = RunConfig(input=str(two), seed_edge="index:0", motif="VI", method=method, min_ball=1)
+    report = run_local_clustering(config)
+    assert report.status == "ok" and report.phi_exact == "0/1"
+    assert report.cluster == ["0", "1", "2", "3", "4", "5"]
 
 
 def test_a_query_runs_with_the_collector_paused_and_restores_its_state(monkeypatch, tmp_path):
