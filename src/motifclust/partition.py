@@ -20,7 +20,11 @@ cut, the block sizes and block 0's motif volume (from ``aux.volumes``), and
 offers every state it visits to the search's ``_Best`` record. ``_Best``
 scores a state with ``conductance.motif_conductance`` and holds the
 search's one tie order: smaller phi, then smaller cut-net, then smaller
-block 0, then first found.
+block 0, then first found. Given a ``_Best``, an FM pass ends as soon as
+the pairs between its locked nodes (fixed, or moved in the pass) prove
+that no later state of the pass can lower its best cut or beat the best
+phi: such states would all be rolled back and rejected, so the blocks FM
+returns, and the search's winner, stay the same.
 """
 
 from __future__ import annotations
@@ -111,8 +115,17 @@ def fm_refine(
     volume: counted in the pass-start sweep, updated on each committed move,
     and recounted after a rollback by the next pass start. ``best``, a
     search's ``_Best`` record, is offered every visited state, at each pass
-    start and after each committed move; the refinement itself never
-    depends on it.
+    start and after each committed move. The blocks fm_refine returns never
+    depend on ``best``; with ``best`` given, a pass ends once no later state
+    can lower the pass's best cut or beat ``best``. Later states move only
+    free nodes, so their W cut is at least ``locked_cut``, the W weight of
+    the cut pairs whose two ends are locked (fixed, or moved this pass), and
+    their block-0 volume lies in [``locked0``, ``max0``], between the volume
+    locked in block 0 and that plus the free nodes' volume. Once
+    ``locked_cut`` is no less than the pass's best cut and locked_cut over
+    the largest min(vol0, total - vol0) in that range is above best's phi,
+    the rest of the pass would be rolled back and every state in it
+    rejected, so it is skipped.
 
     ``observer(event, blocks, moved, cut)`` is called with event "pass" at
     each pass start and "move" after each committed move (before any
@@ -131,6 +144,10 @@ def fm_refine(
     volumes = aux.volumes
     n = aux.num_nodes  # the N of heap entries key * N + v
     movable = [v not in seeds for v in range(u)] + [False]  # u is the last node
+    seed_u_cut = sum(w for x, w in nbrs[u] if x in seeds)  # fixed, so always cut
+    seed_volume = sum(volumes[s] for s in seeds)
+    ball_volume = sum(volumes[:u])
+    half = best.total // 2 if best is not None else 0
     push = heapq.heappush
     pop = heapq.heappop
     heapreplace = heapq.heapreplace
@@ -163,6 +180,9 @@ def fm_refine(
         trail: list[int] = []
         best_cut = cur
         best_len = 0
+        locked_cut = seed_u_cut
+        locked0 = seed_volume
+        max0 = ball_volume
         while True:
             chosen = None
             for side in (0, 1):
@@ -196,10 +216,17 @@ def fm_refine(
                         push(stay, key[x] * n + x)
                     else:
                         key[x] += 2 * w
+                elif blocks[x] == f:  # x is locked and stays behind: cut for good
+                    locked_cut += w
             blocks[v] = 1 - f
             counts[f] -= 1
             counts[1 - f] += 1
-            vol0 += volumes[v] if f else -volumes[v]
+            if f:
+                vol0 += volumes[v]
+                locked0 += volumes[v]
+            else:
+                vol0 -= volumes[v]
+                max0 -= volumes[v]
             cur += k
             trail.append(v)
             if observer is not None:
@@ -209,6 +236,13 @@ def fm_refine(
             if cur < best_cut:
                 best_cut = cur
                 best_len = len(trail)
+            elif (
+                best is not None
+                and locked_cut >= best_cut
+                and locked_cut * best.den
+                > best.num * 2 * min(half, max0, best.total - locked0)
+            ):
+                break  # no later state of this pass can lower best_cut or beat best
         for v in trail[best_len:]:
             blocks[v] = 1 - blocks[v]
         cur = best_cut
@@ -270,7 +304,7 @@ def partition_search(
             raise InputError(
                 f"the {len(aux.seed_nodes)}-node seed hyperedge does not fit in one block "
                 f"of a {aux.u}-node ball at eps {lo} (at most {bound} nodes); "
-                "raise --min-ball or --eps-min"
+                "raise min_ball or eps_min"
             )
         for _ in range(beta):
             r = random.Random(rng.randrange(2**63))
@@ -285,20 +319,27 @@ class _Best:
     """A search's best consistent state so far: its (phi, cut-net, block-0
     size) key and its blocks. ``total`` is the global motif volume phi is
     taken over. A state replaces the best only on a strictly smaller key,
-    so ties go to the state offered first."""
+    so ties go to the state offered first. ``num`` and ``den`` are the best
+    phi's numerator and denominator as plain ints, 0 and 0 while there is
+    no best, so that ``a * den > num * b`` (a, b >= 0) tests a / b > phi
+    and is false before the first best."""
 
-    __slots__ = ("total", "key", "blocks")
+    __slots__ = ("total", "key", "blocks", "num", "den")
 
     def __init__(self, total: int):
         self.total = total
         self.key: tuple[Fraction, int, int] | None = None
         self.blocks: Blocks | None = None
+        self.num = 0
+        self.den = 0
 
     def offer(self, cut: int, vol0: int, size0: int, blocks: Sequence[int]) -> None:
-        key = self.key
-        if key is not None and cut * key[0].denominator > key[0].numerator * vol0:
+        if cut * self.den > self.num * vol0:
             return  # phi >= cut / vol0, which is already above the best phi
         phi = motif_conductance(cut, vol0, self.total)
+        key = self.key
         if phi is not None and (key is None or (phi, cut, size0) < key):
             self.key = (phi, cut, size0)
             self.blocks = list(blocks)
+            self.num = phi.numerator
+            self.den = phi.denominator

@@ -290,6 +290,91 @@ def test_fm_refine_matches_the_tuple_heap_reference():
     assert shapes == [True, True, True]
 
 
+def _passes(events):
+    """The observer stream split at its "pass" events."""
+    passes = []
+    for event in events:
+        if event[0] == "pass":
+            passes.append([])
+        passes[-1].append(event)
+    return passes
+
+
+def _binding_cap(aux, total, last_pass):
+    """Which cap on min(vol0, total - vol0) is the least one at the end of a
+    stopped pass: 0 for total // 2, 1 for the most block-0 volume a later
+    state can hold, 2 for total minus the volume locked in block 0; None on
+    a tie."""
+    *_, blocks = last_pass[-1]
+    moved = {v for _, v, _, _ in last_pass[1:]}
+    locked = moved | set(aux.seed_nodes)
+    locked0 = sum(aux.volumes[v] for v in locked if not blocks[v])
+    free = sum(aux.volumes[v] for v in range(aux.u) if v not in locked)
+    caps = [total // 2, locked0 + free, total - locked0]
+    least = min(caps)
+    return caps.index(least) if caps.count(least) == 1 else None
+
+
+def test_fm_refine_with_a_best_stops_each_pass_early_and_returns_the_same_blocks():
+    # given a _Best, a pass ends once its locked pairs prove that no later
+    # state can lower the pass's best cut or beat the best phi. Against FM
+    # without a best: the same blocks and pass count, each pass's stream a
+    # prefix of the full one, every state cut off rejected by the best, and
+    # fewer moves on desk-VI; with totals on either side of sum(volumes) *
+    # 3 / 2, so that each cap on the denominator binds at some stop
+    rng = random.Random(63)
+    cases = []
+    for i in range(120):
+        ball, edges, seeds = random_hyperedges(rng)
+        scale = 1 if i % 2 else rng.choice((7, 40, 1000))
+        aux = aux_from_hyperedges(
+            ball, [(m, w * scale) for m, w in sorted(edges.items())], seed_nodes=seeds
+        )
+        cases.append(("random", aux))
+    cases += [("desk-VI", aux) for aux in desk_auxes(12704, MotifPattern.VI)]
+    cases += [("desk-I", aux) for aux in desk_auxes(2000, MotifPattern.I)]
+    moves = {"full": 0, "stopped": 0}
+    caps = set()
+    for name, aux in cases:
+        volume = sum(aux.volumes)
+        half = volume // 2
+        for total in (volume + rng.randrange(half + 1), volume + half + rng.randrange(volume - half)):
+            for eps in (0.03, 0.5):
+                seed = rng.randrange(2**32)
+
+                def prefilled():
+                    best = mp._Best(total)
+                    r = random.Random(seed)
+                    for _ in range(3):
+                        fm_refine(aux, random_feasible_partition(aux, eps, r), eps, best=best)
+                    return best
+
+                blocks = random_feasible_partition(aux, eps, rng)
+                want, full = _fm_trajectory(fm_refine, aux, blocks, eps)
+                best = prefilled()
+                got, stopped = _fm_trajectory(
+                    lambda *a, **kw: fm_refine(*a, **kw, best=best), aux, blocks, eps
+                )
+                assert got == want
+                full_passes, stopped_passes = _passes(full), _passes(stopped)
+                assert len(stopped_passes) == len(full_passes)
+                for a, b in zip(stopped_passes, full_passes):
+                    assert a == b[: len(a)]
+                    if len(a) < len(b):
+                        caps.add(_binding_cap(aux, total, a))
+                # the best offered every state of the full run is the same
+                reference = prefilled()
+                for _, _, cut, live in full:
+                    vol0 = sum(d for d, b in zip(aux.volumes, live) if not b)
+                    reference.offer(cut, vol0, live.count(0), live)
+                assert (best.key, best.blocks) == (reference.key, reference.blocks)
+                if name == "desk-VI":
+                    moves["full"] += len(full) - len(full_passes)
+                    moves["stopped"] += len(stopped) - len(stopped_passes)
+    assert moves["stopped"] < moves["full"]
+    assert {0, 1, 2} <= caps
+
+
 def test_partition_search_matches_the_observer_scored_reference(monkeypatch):
     # where FM runs, on balls holding more than half the motif volume
     # (total < 2 * sum(volumes)), fm_refine's own vol0 tracking finds the

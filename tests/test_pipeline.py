@@ -436,7 +436,7 @@ def test_seed_larger_than_the_block_bound_is_an_input_error(tmp_path):
     config = RunConfig(
         input=str(data), seed_edge="index:0", motif="VI", method="bfs", min_ball=4
     )
-    with pytest.raises(InputError, match="5-node seed .* 5-node ball .* --min-ball or --eps-min"):
+    with pytest.raises(InputError, match="5-node seed .* 5-node ball .* min_ball or eps_min"):
         run_local_clustering(config)
 
 
@@ -452,7 +452,7 @@ def test_the_seed_fit_rule_refuses_only_balls_fm_searches(tmp_path, method):
     with pytest.raises(
         InputError,
         match=f"^the 5-node seed hyperedge does not fit in one block of a {ball}-node ball "
-        r"at eps 0.03 \(at most 4 nodes\); raise --min-ball or --eps-min$",
+        r"at eps 0.03 \(at most 4 nodes\); raise min_ball or eps_min$",
     ):
         run_local_clustering(config)
     # two groups: every ball holds at most half the motif volume, so the
