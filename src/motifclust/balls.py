@@ -5,17 +5,21 @@ inside the surviving strongly-induced subhypergraph, then descend core levels
 until the seed's component is big enough) and layered hypergraph BFS (cumulative
 layer unions starting at the first union that exceeds the size threshold).
 
-``core_ball`` reads only the core levels up to the seed's own, so it asks
-for the peel truncated at the seed (``nbr_core_decomposition(H, seed)``),
-which stops once a seed node is due for deletion. It calls the function
-through this module's global, which the benchmark's tracer wraps.
+``core_ball`` reads only the core levels up to the seed's own, k*, so it
+asks for the peel truncated at the seed (``nbr_core_decomposition(H, seed)``),
+which stops once a seed node is due for deletion. Once the seed's component
+of the surviving subhypergraph splits off, in some round r, that peel gives
+every node outside it level r and peels the component only: the level sets
+up to r, and the seed's component of every level up to k*, stay those of
+the full decomposition, and ``core_ball`` reads nothing else. It calls the
+function through this module's global, which the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from typing import Iterable
 
 from .core import Hypergraph, canonical_members
@@ -53,12 +57,29 @@ def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> CoreDecom
     hyperedges containing it). A node deleted during round k has core number
     k - 1. Simultaneously sub-threshold nodes are deleted in ascending id order.
 
+    Deleting v costs each alive neighbor exactly v. A pair (x, y) of v's
+    other co-members loses each dying hyperedge holding both, and x and y
+    stop being neighbors when none is left. No count of such pairs is built
+    up front. A hyperedge dies with its first member, so until x first
+    loses a hyperedge, all of x's live: its neighbor count is the size of
+    their union, and the count of each pair (x, y) the number of them that
+    hold y, one ``Counter`` over their members. Both are taken then, or
+    once the number of x's dyads, a lower bound on its neighbor count,
+    falls below a round's k.
+
     With ``seed`` nodes given, the peel stops in the round k in which the
     first of them is queued for deletion: that node's core number, k* = k - 1,
     is the least over the seed, and every node still alive has core number
-    at least k*. The result is the decomposition truncated at k*: core number
-    min(core(v), k*) for every v, and ``max_core`` k*. Level sets up to k*,
-    the only ones ``core_ball`` reads, equal the full decomposition's.
+    at least k*; they all get k*, and ``max_core`` is k*. After each round
+    r that deletes a node, a walk from the seed over the surviving
+    hyperedges, within a work budget, looks for the seed's component. Once
+    it closes short of every surviving node, the nodes outside it get core
+    number r and later rounds peel the component only. No surviving
+    hyperedge crosses a component, so the component peels as it would in
+    the whole. Core numbers are then min(core(v), r) for every node and
+    min(core(v), k*) on the seed's component of level r: every level set
+    up to r, and the seed's component of every level up to k*, equal the
+    full decomposition's, and those are all ``core_ball`` reads.
     """
     n = H.n
     if n == 0:
@@ -67,50 +88,89 @@ def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> CoreDecom
     if not all(0 <= v < n for v in stop):
         raise InputError(f"seed {sorted(stop)!r} names a node outside [0, {n})")
     members = H.members
+    incidence = H.incidence
+    edges_of = members.__getitem__
     alive = bytearray([1]) * n
     edge_alive = bytearray([1]) * len(members)
-    # pair_count[a * n + b] (a < b) = number of surviving hyperedges containing both
-    pair_count: dict[int, int] = {}
-    get = pair_count.get
-    for mem in members:
-        for a, b in combinations(mem, 2):
-            key = a * n + b
-            pair_count[key] = get(key, 0) + 1
-    low = Counter(map(n.__rfloordiv__, pair_count))
-    high = Counter(map(n.__rmod__, pair_count))
-    nbr_count = [low[v] + high[v] for v in range(n)]
+    # shared[v][w] (v < w) = number of surviving hyperedges holding both,
+    # counted when v is; until then nbr_count[v] holds v's number of dyads
+    shared: dict[int, Counter[int]] = {}
+    nbr_count = [0] * n
+    for v, dyads in Counter(chain.from_iterable(compress(members, map((2).__eq__, map(len, members))))).items():
+        nbr_count[v] = dyads
+
+    def count(v: int) -> None:
+        counts = shared[v] = Counter(chain.from_iterable(map(edges_of, incidence[v])))
+        nbr_count[v] = len(counts) - 1 if counts else 0
 
     core = [0] * n
+    scope: Iterable[int] = range(n)  # the nodes each round scans
     remaining = n
+    # a walk may scan as many incidences as the neighbor-count updates made
+    # since the last walk, or budget, which starts at the seed's degree sum
+    # and doubles per walk; so walks cost at most the peel plus twice the
+    # last budget
+    budget = sum(len(incidence[v]) for v in stop)
+    updates = 0
     k = 0
     while remaining:
         k += 1
-        queue = deque(v for v in range(n) if alive[v] and nbr_count[v] < k)
+        below = [v for v in scope if alive[v] and nbr_count[v] < k]
+        for v in below:
+            if v not in shared:
+                count(v)
+        queue = deque(v for v in below if nbr_count[v] < k)
         queued = set(queue)
         if not stop.isdisjoint(queued):
             return _truncated(core, alive, k - 1)
+        if not queue:
+            continue
         while queue:
             v = queue.popleft()
             alive[v] = 0
             core[v] = k - 1
             remaining -= 1
-            for ei in H.incident_edges(v):
-                if not edge_alive[ei]:
-                    continue
+            dying = [ei for ei in incidence[v] if edge_alive[ei]]
+            if not dying:
+                continue
+            lost = set().union(*map(edges_of, dying))
+            lost.discard(v)
+            for x in lost.difference(shared):
+                count(x)
+            drops = list(lost)
+            for ei in dying:
                 edge_alive[ei] = 0
-                for a, b in combinations(members[ei], 2):
-                    key = a * n + b
-                    left = pair_count[key] - 1
-                    pair_count[key] = left
-                    if left == 0:
-                        for x in (a, b):
-                            if alive[x]:
-                                nbr_count[x] -= 1
-                                if nbr_count[x] < k and x not in queued:
-                                    if x in stop:
-                                        return _truncated(core, alive, k - 1)
-                                    queue.append(x)
-                                    queued.add(x)
+                mem = members[ei]
+                if len(mem) > 2:
+                    rest = [x for x in mem if x != v]
+                    for a, b in combinations(rest, 2):
+                        counts = shared[a]
+                        left = counts[b] - 1
+                        counts[b] = left
+                        if not left:
+                            drops.append(a)
+                            drops.append(b)
+            updates += len(drops)
+            for x in drops:
+                left = nbr_count[x] - 1
+                nbr_count[x] = left
+                if left < k and x not in queued:
+                    if x in stop:
+                        return _truncated(core, alive, k - 1)
+                    queue.append(x)
+                    queued.add(x)
+        if stop:
+            # peel only the seed's component once it splits off
+            component = _seed_component(H, stop, edge_alive, max(budget, updates))
+            budget *= 2
+            updates = 0
+            if component is not None and len(component) < remaining:
+                for v in scope:
+                    if alive[v] and v not in component:
+                        alive[v] = 0
+                        core[v] = k
+                scope = sorted(component)
+                remaining = len(scope)
     return CoreDecomposition(tuple(core), max(core, default=0))
 
 
@@ -120,6 +180,27 @@ def _truncated(core: list[int], alive: bytearray, k_star: int) -> CoreDecomposit
     for v in compress(range(len(core)), alive):
         core[v] = k_star
     return CoreDecomposition(tuple(core), k_star)
+
+
+def _seed_component(
+    H: Hypergraph, seed: frozenset[int], edge_alive: bytearray, budget: int
+) -> set[int] | None:
+    """The nodes that surviving hyperedges connect to ``seed``, or None once
+    the walk would scan more than ``budget`` incidences. It walks by itself,
+    not through ``Hypergraph.bfs``, to stop at the budget and to read the
+    peel's surviving hyperedges as they stand."""
+    members = H.members
+    component = set(seed)
+    layer = component
+    while layer:
+        edges = list(chain.from_iterable(map(H.incidence.__getitem__, layer)))
+        budget -= len(edges)
+        if budget < 0:
+            return None
+        layer = set().union(*compress(map(members.__getitem__, edges), map(edge_alive.__getitem__, edges)))
+        layer -= component
+        component |= layer
+    return component
 
 
 def _require_seed_edge(H: Hypergraph, seed: Iterable[int]) -> tuple[int, ...]:

@@ -140,6 +140,12 @@ class Hypergraph:
             raise InputError(f"hyperedge index {i} out of range [0, {len(self._members)})")
         return Hyperedge(self._members[i])
 
+    @property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's incident hyperedge indices, by node; the unchecked
+        view of ``incident_edges`` for loops over many nodes."""
+        return self._incidence
+
     def incident_edges(self, v: int) -> tuple[int, ...]:
         self._check_node(v)
         return self._incidence[v]

@@ -96,6 +96,8 @@ class RunConfig:
         MotifPattern.from_spec(self.motif)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise InputError(f"report directory does not exist: {self.output}")
+        if self.output and os.path.isdir(self.output):
+            raise InputError(f"report path is a directory: {self.output}")
 
 
 @dataclass

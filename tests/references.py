@@ -34,8 +34,8 @@ from motifclust.partition import (
 
 
 def reference_nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
-    """Neighborhood-based core numbers via progressive peeling, with each
-    pair count keyed by its node pair (u, w)."""
+    """Neighborhood-based core numbers via progressive peeling, with every
+    pair count built up front and keyed by its node pair (u, w)."""
     n = H.n
     if n == 0:
         raise InputError("core decomposition of an empty hypergraph")

@@ -49,8 +49,8 @@ def test_core_numbers_match_brute_oracle():
 
 
 def test_core_decomposition_matches_the_tuple_keyed_reference_beyond_the_oracle():
-    # past the brute oracle's 12 nodes, the pair counts keyed a * n + b must
-    # peel exactly as the reference's counts keyed (a, b) do
+    # past the brute oracle's 12 nodes, the pair counts taken on first loss
+    # must peel exactly as the reference's, built up front, do
     rng = random.Random(314)
     graphs = [
         random_hypergraph(rng, rng.randint(13, 30), 0.12, 0.01, big_edge_p=0.0005)
@@ -62,34 +62,96 @@ def test_core_decomposition_matches_the_tuple_keyed_reference_beyond_the_oracle(
         assert nbr_core_decomposition(H) == reference_nbr_core_decomposition(H)
 
 
+def parsed_ring(seed, n_groups, edges_per_group):
+    """A ring_contact_edges ring with its nodes numbered as the parser does."""
+    edges, _hill = ring_contact_edges(seed, n_groups=n_groups, edges_per_group=edges_per_group)
+    ids = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
+    return Hypergraph.from_members([[ids[v] for v in e] for e in edges])
+
+
 def test_seed_bounded_peel_is_the_full_decomposition_truncated_at_the_seed_level():
-    # given a seed, the peel stops once a seed node is queued; every core
-    # number is then min(core(v), k*) with k* the seed's level, and
-    # core_ball, which reads only levels up to k*, picks the same ball
+    # given a seed, the peel stops once a seed node is queued, at the seed's
+    # level k*. Once the seed's component splits off in some round r, the
+    # nodes outside it get r and only the component peels on. Every core
+    # number is then min(core(v), r), and min(core(v), k*) on the seed's
+    # component of level r; core_ball, which reads only those levels, picks
+    # the same ball
     rng = random.Random(2718)
     graphs = [
         random_hypergraph(rng, rng.randint(13, 30), 0.12, 0.04, big_edge_p=0.002)
         for _ in range(12)
     ]
     graphs += [Hypergraph.from_members(synthetic_contact_edges(seed, n_edges=2000)) for seed in (1, 2, 3)]
-    # the ring that test_golden parses, with its nodes numbered as the parser does
-    edges, _hill = ring_contact_edges(5, n_groups=36, edges_per_group=150)
-    ids = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
-    graphs.append(Hypergraph.from_members([[ids[v] for v in e] for e in edges]))
-    assert graphs[-1].n == 761
+    rings = [parsed_ring(5, 36, 150), parsed_ring(7, 24, 120), parsed_ring(2, 30, 300), parsed_ring(11, 60, 150)]
+    # the first is the ring that test_golden parses
+    assert [H.n for H in rings] == [761, 497, 657, 1281]
     truncated = 0
-    for H in graphs:
+    restricted = {}
+    for H, samples in [(H, 12) for H in graphs] + [(H, 25) for H in rings]:
         full = nbr_core_decomposition(H)
-        for ei in rng.sample(range(H.num_edges), min(H.num_edges, 12)):
+        for ei in rng.sample(range(H.num_edges), min(H.num_edges, samples)):
             members = H.members[ei]
             k_star = min(full.core_number[v] for v in members)
             got = nbr_core_decomposition(H, members)
             assert got.max_core == k_star
-            assert got.core_number == tuple(min(c, k_star) for c in full.core_number)
+            # r is the level every node the restriction capped holds
+            capped = [g for g, c in zip(got.core_number, full.core_number) if g != min(c, k_star)]
+            r = min(capped, default=k_star)
+            component = H.connected_component(members, within=full.level_set(r))
+            for v, c in enumerate(full.core_number):
+                assert got.core_number[v] == min(c, k_star if v in component else r)
             truncated += k_star < full.max_core
+            restricted[H] = restricted.get(H, 0) + (r < k_star)
             for min_size in (len(members), 20, 100):
                 assert core_ball(H, members, min_size) == core_ball(H, members, min_size, full)
     assert truncated > 20
+    # each ring's hills split off from one another before most seeds' levels
+    assert all(restricted[H] > 25 // 2 for H in rings), [restricted[H] for H in rings]
+
+
+def clique_on(nodes):
+    return [[a, b] for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+
+
+def test_a_pair_keeps_a_shared_dyad_when_a_third_node_kills_their_triad():
+    # 0 and 1 share the dyad [0, 1] and the triad [0, 1, 2]; deleting 2 in
+    # round 3 kills only the triad, so 0 and 1 stay neighbors and the six
+    # nodes 0, 1, 3..6 stay a 5-core. Losing the pair there would leave 0
+    # and 1 four neighbors and every node of it level 4
+    edges = [[0, 1], [0, 1, 2]] + [[x, c] for x in (0, 1) for c in (3, 4, 5, 6)] + clique_on([3, 4, 5, 6])
+    H = Hypergraph.from_members(edges)
+    want = (5, 5, 2, 5, 5, 5, 5)
+    assert list(want) == brute_nbr_core_numbers(H)
+    assert nbr_core_decomposition(H).core_number == want
+    assert nbr_core_decomposition(H, [3, 4]) == nbr_core_decomposition(H)
+
+
+def test_a_pair_whose_shared_hyperedges_die_in_one_deletion_loses_each_other_once():
+    # 0 and 1 share only [0, 1, 2] and [0, 1, 2, 3]; deleting 2 in round 4
+    # kills both, so 0 and 1 stop being neighbors once and keep 4..7 as
+    # their four neighbors until round 5. Losing each other twice would drop
+    # them in round 4 (all levels 3), and not at all would leave 0, 1, 4..7
+    # a 5-core
+    edges = [[0, 1, 2], [0, 1, 2, 3]] + [[x, c] for x in (0, 1) for c in (4, 5, 6, 7)]
+    H = Hypergraph.from_members(edges + clique_on([4, 5, 6, 7]))
+    want = (4, 4, 3, 3, 4, 4, 4, 4)
+    assert list(want) == brute_nbr_core_numbers(H)
+    assert nbr_core_decomposition(H).core_number == want
+    assert nbr_core_decomposition(H, [4, 5]) == nbr_core_decomposition(H)
+
+
+def test_core_decomposition_of_two_blobs_with_and_without_a_bridge_matches_the_reference():
+    # the seedless call never restricts the peel: two blobs, disjoint or
+    # joined by one dyad, peel as one hypergraph
+    first = synthetic_contact_edges(4, n_nodes=60, n_edges=400, n_groups=3, group_size=24)
+    second = synthetic_contact_edges(9, n_nodes=80, n_edges=900, n_groups=4, group_size=24)
+    edges = first + [tuple(v + 60 for v in e) for e in second]
+    for bridge in ([], [(0, 60)]):
+        H = Hypergraph.from_members(edges + bridge)
+        assert H.n == 140
+        decomp = nbr_core_decomposition(H)
+        assert decomp == reference_nbr_core_decomposition(H)
+        assert len(set(decomp.core_number)) > 2
 
 
 def test_seed_bounded_peel_checks_the_seed_nodes():

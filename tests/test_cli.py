@@ -85,6 +85,25 @@ def test_cluster_command_missing_output_directory_exit_2_before_the_run(tmp_path
     assert result.stderr.splitlines() == [f"Error: report directory does not exist: {out}"]
 
 
+def test_cluster_command_output_directory_exit_2_before_the_run(tmp_path, monkeypatch):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+
+    def load_input(config):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr("motifclust.pipeline.load_input", load_input)
+    out = tmp_path / "reports"
+    out.mkdir()
+    result = CliRunner().invoke(
+        main,
+        ["cluster", "--input", str(data), "--motif", "3", "--seed-edge", "index:0",
+         "--output", str(out)],
+    )
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"Error: report path is a directory: {out}"]
+
+
 def test_cluster_command_bad_random_count_exit_2(tmp_path):
     data = tmp_path / "toy.txt"
     write_toy(data)

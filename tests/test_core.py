@@ -88,6 +88,14 @@ def test_edge_is_range_checked():
             H.edge(i)
 
 
+def test_incidence_is_the_read_only_view_of_incident_edges():
+    H = Hypergraph.from_members([[0, 1, 2], [2, 3]], n=5)
+    assert H.incidence == ((0,), (0,), (0, 1), (1,), ())
+    assert all(H.incidence[v] == H.incident_edges(v) for v in range(H.n))
+    with pytest.raises(AttributeError):
+        H.incidence = ()
+
+
 def test_constructor_canonicalises_raw_members_and_keeps_canonical_ones():
     # unsorted or repeating raw members are canonicalised, not trusted
     assert Hypergraph(3, [(2, 0), [1, 1, 0]]).members == ((0, 2), (0, 1))
