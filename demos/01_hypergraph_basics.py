@@ -21,14 +21,14 @@ H = Hypergraph.from_members(
     ]
 )
 print(H)                                  # Hypergraph(n=6, m=6)
-print("degree of 2:", H.degree(2))        # 4 hyperedges touch node 2
+print("degree of 2:", len(H.incidence[2]))   # 4 hyperedges touch node 2
 
 # adjacency is shared-hyperedge membership, regardless of edge size; the
 # BFS yields the start nodes, then each sorted layer of newly reached nodes
 print("BFS layers from {3}:", list(H.bfs({3})))           # [[3], [2], [0, 1]]
 # the closed neighborhood N[S] is the first two layers
-print("neighbors of 0:", sorted(H.neighbors(0)))          # [1, 2]
 print("closed nbhd of {3}:", sorted(H.closed_neighborhood({3})))  # [2, 3]
+print("neighbors of 0:", sorted(H.closed_neighborhood({0}) - {0}))  # [1, 2]
 
 # connectivity is Berge-path reachability: the union of all BFS layers;
 # with `within`, the walk crosses only hyperedges fully inside that set
@@ -37,8 +37,8 @@ print("component of 4:", sorted(H.connected_component({4})))   # [4, 5]
 print("component of 3 within {0,2,3}:", sorted(H.connected_component({3}, within={0, 2, 3})))  # [0, 2, 3]
 
 # neighborhood-based core decomposition: peel nodes with too few neighbors
-# in the surviving strongly-induced subhypergraph
-decomp = nbr_core_decomposition(H)
-print("core numbers:", list(decomp.core_number))   # triangle nodes sit in the 2-core
-print("max core:", decomp.max_core)
-print("2-core:", sorted(decomp.level_set(2)))      # [0, 1, 2]
+# in the surviving strongly-induced subhypergraph; one core number per node
+core = nbr_core_decomposition(H)
+print("core numbers:", list(core))                 # triangle nodes sit in the 2-core
+print("max core:", max(core))
+print("2-core:", [v for v, c in enumerate(core) if c >= 2])  # [0, 1, 2]

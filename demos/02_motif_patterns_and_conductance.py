@@ -15,8 +15,8 @@ from motifclust import (
     motif_degrees,
 )
 
-for p in MotifPattern:
-    print(f"pattern {p.name:>3} (#{p.number}): triad={p.has_triadic}, dyads={p.dyad_count}")
+for number, p in enumerate(MotifPattern, start=1):
+    print(f"pattern {p.name:>3} (#{number}): triad={p.has_triadic}, dyads={p.dyad_count}")
 
 H = Hypergraph.from_members(
     [

@@ -9,7 +9,7 @@ refinement under randomized imbalance.
 """
 
 from .auxiliary import AuxHypergraph, build_aux
-from .balls import Ball, CoreDecomposition, bfs_balls, core_ball, nbr_core_decomposition
+from .balls import Ball, bfs_balls, core_ball, nbr_core_decomposition
 from .conductance import (
     ConductanceResult,
     conductance_direct,
@@ -19,7 +19,6 @@ from .conductance import (
 from .core import Hyperedge, Hypergraph
 from .errors import (
     BudgetExceededError,
-    ConstraintError,
     InputError,
     InternalError,
     ParseError,
@@ -51,8 +50,6 @@ __all__ = [
     "BudgetExceededError",
     "ClusterReport",
     "ConductanceResult",
-    "ConstraintError",
-    "CoreDecomposition",
     "Hyperedge",
     "Hypergraph",
     "InputError",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import ConstraintError, InputError
+from .errors import InputError
 
 
 class AuxHypergraph:
@@ -103,13 +103,13 @@ def build_aux(
     if not seed_set:
         raise InputError("seed must be nonempty")
     if not seed_set.issubset(aux_of):
-        raise ConstraintError(f"seed nodes {sorted(seed_set)} are not all inside the ball")
+        raise InputError(f"seed nodes {sorted(seed_set)} are not all inside the ball")
     weight: dict[tuple[int, int], int] = {}
     get = weight.get
     for triple in M:
         pins = sorted([aux_of[v] for v in triple if v in aux_of])
         if not pins:
-            raise ConstraintError(f"occurrence {triple!r} has no node in the ball")
+            raise InputError(f"occurrence {triple!r} has no node in the ball")
         if len(pins) < 3:
             pins.append(u)
         if len(pins) == 2:

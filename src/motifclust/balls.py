@@ -39,18 +39,9 @@ class Ball:
     detail: int
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
-    core_number: tuple[int, ...]
-    max_core: int
-
-    def level_set(self, k: int) -> frozenset[int]:
-        """Nodes with core number >= k."""
-        return frozenset(v for v, c in enumerate(self.core_number) if c >= k)
-
-
-def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> CoreDecomposition:
-    """Neighborhood-based core numbers via progressive peeling.
+def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> tuple[int, ...]:
+    """Neighborhood-based core numbers via progressive peeling: one core
+    number per node, by node id.
 
     For k = 1, 2, ... repeatedly delete every node with fewer than k neighbors
     in the surviving strongly-induced subhypergraph (deleting a node kills all
@@ -70,7 +61,7 @@ def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> CoreDecom
     With ``seed`` nodes given, the peel stops in the round k in which the
     first of them is queued for deletion: that node's core number, k* = k - 1,
     is the least over the seed, and every node still alive has core number
-    at least k*; they all get k*, and ``max_core`` is k*. After each round
+    at least k*; they all get k*, the largest number returned. After each round
     r that deletes a node, a walk from the seed over the surviving
     hyperedges, within a work budget, looks for the seed's component. Once
     it closes short of every surviving node, the nodes outside it get core
@@ -171,15 +162,15 @@ def nbr_core_decomposition(H: Hypergraph, seed: Iterable[int] = ()) -> CoreDecom
                         core[v] = k
                 scope = sorted(component)
                 remaining = len(scope)
-    return CoreDecomposition(tuple(core), max(core, default=0))
+    return tuple(core)
 
 
-def _truncated(core: list[int], alive: bytearray, k_star: int) -> CoreDecomposition:
-    """The decomposition truncated at k_star, once every node deleted so far
+def _truncated(core: list[int], alive: bytearray, k_star: int) -> tuple[int, ...]:
+    """The core numbers truncated at k_star, once every node deleted so far
     has its core number and every node still alive has one of at least k_star."""
     for v in compress(range(len(core)), alive):
         core[v] = k_star
-    return CoreDecomposition(tuple(core), k_star)
+    return tuple(core)
 
 
 def _seed_component(
@@ -214,7 +205,7 @@ def core_ball(
     H: Hypergraph,
     seed: Iterable[int],
     min_size: int = 100,
-    decomposition: CoreDecomposition | None = None,
+    decomposition: tuple[int, ...] | None = None,
 ) -> Ball:
     """Seed-containing component of the deepest core level reaching ``min_size``.
 
@@ -223,15 +214,21 @@ def core_ball(
     inside the strongly-induced subhypergraph on {v : core(v) >= k}; return the
     first component with >= min_size nodes, or the k = 1 component if none does.
     Every component holds the seed, so a ``min_size`` below the seed's size
-    gives the ball that the seed's size does.
+    gives the ball that the seed's size does. ``decomposition``, when given,
+    holds one core number per node, as ``nbr_core_decomposition`` returns.
     """
     members = _require_seed_edge(H, seed)
-    decomp = decomposition if decomposition is not None else nbr_core_decomposition(H, members)
-    k_star = max(1, min(decomp.core_number[v] for v in members))
+    core = decomposition if decomposition is not None else nbr_core_decomposition(H, members)
+    if len(core) != H.n:
+        raise InputError(
+            f"decomposition holds {len(core)} core numbers, the hypergraph {H.n} nodes"
+        )
+    k_star = max(1, min(core[v] for v in members))
     comp: frozenset[int] = frozenset(members)
     used_k = k_star
     for k in range(k_star, 0, -1):
-        comp = H.connected_component(members, within=decomp.level_set(k))
+        level = frozenset(v for v, c in enumerate(core) if c >= k)
+        comp = H.connected_component(members, within=level)
         used_k = k
         if len(comp) >= min_size:
             break

@@ -3,7 +3,9 @@
 Every flag can be overridden through an environment variable with the prefix
 MOTIFCLUST (uppercase, underscore-joined), e.g. MOTIFCLUST_CLUSTER_BETA=200.
 Exit codes: 0 success, 2 input errors, 3 when the run produced no usable
-cluster (no-motifs / undefined-conductance status).
+cluster (no-motifs / undefined-conductance status). ``cluster`` owns its
+report path: it refuses one it cannot write before reading the input, and
+writes the report itself, on exit 3 too.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ class InputFailure(click.ClickException):
     exit_code = 2
 
 
+def _refuse_unwritable(path: str, what: str) -> None:
+    """Refuse, before any run, a file path in a missing directory or one that
+    names a directory."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputFailure(f"{what} directory does not exist: {path}")
+    if os.path.isdir(path):
+        raise InputFailure(f"{what} path is a directory: {path}")
+
+
 @click.group(context_settings=CONTEXT)
 def main() -> None:
     """Local motif-based clustering of hypergraphs."""
@@ -48,13 +59,16 @@ def main() -> None:
 @click.option("--dataset", default=None, help="Dataset name for the report (defaults to the input filename).")
 def cluster(output, **fields) -> None:
     """Run the four-phase local clustering pipeline once and write a report."""
-    config = RunConfig(output=None if output == "-" else output, **fields)
+    to_stdout = output == "-"
+    if not output:
+        raise InputFailure("report path is empty; give a file path or '-' for stdout")
+    if not to_stdout:
+        _refuse_unwritable(output, "report")
     try:
-        report = run_local_clustering(config)
+        report = run_local_clustering(RunConfig(**fields))
+        mio.write_report(report, sys.stdout if to_stdout else output)
     except InputError as exc:
         raise InputFailure(str(exc)) from exc
-    if output == "-":
-        mio.write_report(report, sys.stdout)
     if report.status != "ok":
         click.echo(f"status: {report.status}", err=True)
         sys.exit(3)
@@ -62,7 +76,7 @@ def cluster(output, **fields) -> None:
         f"{report.dataset} [{report.method}/{report.motif}] "
         f"phi={report.phi} |C|={report.cluster_size} |B|={report.ball_size} "
         f"t={report.timings['total']:.2f}s",
-        err=output == "-",
+        err=to_stdout,
     )
 
 
@@ -79,17 +93,19 @@ def bench(config_path) -> None:
 
     def _resolve(where: dict, key: str):
         path = where.get(key)
-        if not isinstance(path, str) and (path is not None or key == "input"):
+        if path is None and key != "input":
+            return None
+        if not isinstance(path, str) or not path:
             raise InputFailure(f"bench config '{key}' must be a path string, got {path!r}")
-        return path if path is None or os.path.isabs(path) else os.path.join(base, path)
+        return path if os.path.isabs(path) else os.path.join(base, path)
 
     runs = spec.get("runs") if isinstance(spec, dict) else None
     if not isinstance(runs, list) or not runs:
         raise InputFailure("bench config has no 'runs' entries")
     output_dir = _resolve(spec, "output_dir")
     csv_path = _resolve(spec, "csv")
-    if csv_path and not os.path.isdir(os.path.dirname(csv_path)):
-        raise InputFailure(f"bench config 'csv' is in a directory that does not exist: {csv_path}")
+    if csv_path:
+        _refuse_unwritable(csv_path, "bench config 'csv'")
     configs = []
     for entry in runs:
         if not isinstance(entry, dict) or not {"input", "motif", "seed_edge"} <= entry.keys():

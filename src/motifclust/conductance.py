@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .auxiliary import AuxHypergraph
-from .errors import ConstraintError, InputError, UndefinedConductanceError
+from .errors import InputError, UndefinedConductanceError
 
 
 class ConductanceResult:
@@ -46,7 +46,7 @@ def _check_blocks(aux: AuxHypergraph, blocks: Sequence[int]) -> None:
         raise InputError("block values must be 0 or 1")
     ones = sum(blocks)
     if ones == 0 or ones == len(blocks):
-        raise ConstraintError("both blocks must be nonempty")
+        raise InputError("both blocks must be nonempty")
 
 
 def cut_net(aux: AuxHypergraph, blocks: Sequence[int]) -> int:

@@ -142,17 +142,8 @@ class Hypergraph:
 
     @property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's incident hyperedge indices, by node; the unchecked
-        view of ``incident_edges`` for loops over many nodes."""
+        """Every node's incident hyperedge indices, by node."""
         return self._incidence
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        self._check_node(v)
-        return self._incidence[v]
-
-    def degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self._incidence[v])
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
@@ -211,10 +202,6 @@ class Hypergraph:
             return frozenset()
         layers = self.bfs(nodes)
         return frozenset(next(layers) + next(layers, []))
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood: every u != v sharing at least one hyperedge with v."""
-        return self.closed_neighborhood((v,)) - {v}
 
     # -- connectivity ----------------------------------------------------
 

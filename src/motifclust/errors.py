@@ -2,7 +2,9 @@
 
 
 class InputError(ValueError):
-    """Caller-supplied data is invalid (bad node id, missing seed edge, empty input)."""
+    """Caller-supplied data is invalid (bad node id, missing seed edge, empty
+    input, a seed or occurrence outside the ball, a one-block split); the
+    one caller-input error type, which the CLI reports with exit code 2."""
 
 
 class ParseError(InputError):
@@ -15,11 +17,6 @@ class ParseError(InputError):
         super().__init__(message + where)
         self.path = path
         self.line = line
-
-
-class ConstraintError(ValueError):
-    """A structural contract was violated (infeasible partition constraints,
-    occurrence outside the ball, inconsistent block assignment)."""
 
 
 class UndefinedConductanceError(ArithmeticError):

@@ -252,10 +252,6 @@ class ClusterReport:
         data["timings"] = {k: 0.0 for k in data["timings"]}
         return json.dumps(data, sort_keys=True, ensure_ascii=False)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterReport":
-        return cls(**data)
-
 
 def write_report(report: ClusterReport, target) -> None:
     """Canonical key-ordered JSON, UTF-8, one trailing newline."""
@@ -284,7 +280,7 @@ def read_report(source) -> ClusterReport:
     if not isinstance(data, dict):
         raise ParseError("a report must be a JSON object", path=name)
     try:
-        return ClusterReport.from_dict(data)
+        return ClusterReport(**data)
     except TypeError as exc:  # unknown or missing fields
         raise ParseError(f"not a cluster report: {exc}", path=name) from exc
 

@@ -47,15 +47,6 @@ class MotifPattern(Enum):
     def dyad_count(self) -> int:
         return self.value[1]
 
-    @property
-    def number(self) -> int:
-        """1-based pattern number (I -> 1, ..., VI -> 6)."""
-        return list(MotifPattern).index(self) + 1
-
-    @classmethod
-    def from_flags(cls, has_triadic: bool, dyad_count: int) -> "MotifPattern | None":
-        return _BY_FLAGS.get((has_triadic, dyad_count))
-
     @classmethod
     def from_spec(cls, spec: "str | int | MotifPattern") -> "MotifPattern":
         """Accepts 1..6 (int or str) or a roman-numeral name, case-insensitive."""
@@ -85,7 +76,7 @@ def classify_triple(H: Hypergraph, a: int, b: int, c: int) -> MotifPattern | Non
         raise InputError(f"node id out of range in triple {(a, b, c)}")
     dyads = H.dyads
     d = ((x, y) in dyads) + ((x, z) in dyads) + ((y, z) in dyads)
-    return MotifPattern.from_flags((x, y, z) in H.triads, d)
+    return _BY_FLAGS.get(((x, y, z) in H.triads, d))
 
 
 def enumerate_motifs(

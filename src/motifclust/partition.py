@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .auxiliary import AuxHypergraph
 from .conductance import cut_net, motif_conductance
-from .errors import ConstraintError, InputError, RefinementError
+from .errors import InputError, RefinementError
 from .flow import least_ratio_cut
 
 Blocks = list[int]
@@ -58,7 +58,7 @@ def random_feasible_partition(aux: AuxHypergraph, eps: float, rng: random.Random
     n = aux.num_nodes
     bound = size_bound(n, eps)
     if len(aux.seed_nodes) > bound:
-        raise ConstraintError(
+        raise InputError(
             f"{len(aux.seed_nodes)} seed nodes exceed the block size bound {bound}"
         )
     base = [0] * n

@@ -3,9 +3,10 @@
 A run first loads its input: it validates the config, parses the input and
 resolves the seed selector into (seed edge, rng seed) queries
 (``resolve_seed_edges`` owns that rule). Each query then runs on the loaded
-hypergraph. ``run_local_clustering`` answers one query; ``run_benchmark``
-loads each run entry once and answers all of its queries from that load, so
-they share the hypergraph and its lazy small-edge index.
+hypergraph. ``run_local_clustering`` answers one query and returns its
+report, which it does not write; ``run_benchmark`` loads each run entry once
+and answers all of its queries from that load, so they share the hypergraph
+and its lazy small-edge index.
 
 Phase 1 selects one core ball or up to alpha BFS balls; for each ball, phase 2
 enumerates the chosen motif pattern, phase 3 contracts the occurrences into the
@@ -70,7 +71,6 @@ class RunConfig:
     eps_min: float = 0.03
     eps_max: float = 0.5
     rng_seed: int = 0
-    output: str | None = None
     dataset: str | None = None
 
     def validate(self) -> None:
@@ -93,11 +93,9 @@ class RunConfig:
                 f"eps range must satisfy 0 < eps_min <= eps_max <= 1, "
                 f"got [{self.eps_min}, {self.eps_max}]"
             )
+        if self.dataset is not None and not isinstance(self.dataset, str):
+            raise InputError(f"dataset must be a string, got {self.dataset!r}")
         MotifPattern.from_spec(self.motif)
-        if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
-            raise InputError(f"report directory does not exist: {self.output}")
-        if self.output and os.path.isdir(self.output):
-            raise InputError(f"report path is a directory: {self.output}")
 
 
 @dataclass
@@ -339,8 +337,6 @@ def run_local_clustering(
             "run_local_clustering needs exactly one seed; use the bench harness for random:k"
         )
     report, details = _query(config, parsed, dataset, ingest, *queries[0])
-    if config.output:
-        mio.write_report(report, config.output)
     return (report, details) if return_details else report
 
 
@@ -364,14 +360,11 @@ def run_benchmark(
     phases, so a row's ``time_s`` is what one ``cluster`` call costs. A
     config that fails to load gives one failed row, named by its dataset or
     input path; a query that fails gives its own failed row, named by the
-    loaded dataset, and later queries and configs still run. A config with
-    ``output`` is refused before any run: ``output_dir`` names each query's
-    report. Each method's Overall row holds the plain mean of its
-    successful queries' exact phi and of their cluster sizes."""
+    loaded dataset, and later queries and configs still run. ``output_dir``
+    names each query's report. Each method's Overall row holds the plain
+    mean of its successful queries' exact phi and of their cluster sizes."""
     if not configs:
         raise InputError("benchmark needs at least one run config")
-    if any(config.output for config in configs):
-        raise InputError("a bench run takes no 'output'; 'output_dir' writes its reports")
     rows: list[dict] = []
     reports: list[mio.ClusterReport] = []
     failures: list[tuple[str, str, str]] = []

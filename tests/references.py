@@ -15,10 +15,9 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from motifclust.auxiliary import AuxHypergraph
-from motifclust.balls import CoreDecomposition
 from motifclust.conductance import cut_net, motif_conductance
 from motifclust.core import Hypergraph
-from motifclust.errors import ConstraintError, InputError, ParseError, RefinementError
+from motifclust.errors import InputError, ParseError, RefinementError
 from motifclust.io import ParseResult
 from motifclust.partition import (
     MAX_PASSES,
@@ -33,7 +32,7 @@ from motifclust.partition import (
 # balls.nbr_core_decomposition replaces with int keys a * n + b
 
 
-def reference_nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
+def reference_nbr_core_decomposition(H: Hypergraph) -> tuple[int, ...]:
     """Neighborhood-based core numbers via progressive peeling, with every
     pair count built up front and keyed by its node pair (u, w)."""
     n = H.n
@@ -64,7 +63,7 @@ def reference_nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
             alive[v] = 0
             core[v] = k - 1
             remaining -= 1
-            for ei in H.incident_edges(v):
+            for ei in H.incidence[v]:
                 if not edge_alive[ei]:
                     continue
                 edge_alive[ei] = 0
@@ -79,7 +78,7 @@ def reference_nbr_core_decomposition(H: Hypergraph) -> CoreDecomposition:
                                 if nbr_count[x] < k and x not in queued:
                                     queue.append(x)
                                     queued.add(x)
-    return CoreDecomposition(tuple(core), max(core, default=0))
+    return tuple(core)
 
 
 # -- reference auxiliary construction: the hyperedge merge that build_aux replaces
@@ -98,7 +97,7 @@ def reference_aux_hyperedges(M, ball) -> dict[tuple[int, ...], int]:
     for triple in M:
         inside = sorted(aux_of[v] for v in triple if v in aux_of)
         if not inside:
-            raise ConstraintError(f"occurrence {triple!r} has no node in the ball")
+            raise InputError(f"occurrence {triple!r} has no node in the ball")
         key = tuple(inside) if len(inside) == 3 else tuple(inside) + (u,)
         acc[key] = acc.get(key, 0) + 1
     return dict(sorted(acc.items()))

@@ -5,7 +5,6 @@ import pytest
 
 from motifclust import (
     AuxHypergraph,
-    ConstraintError,
     Hypergraph,
     InputError,
     MotifPattern,
@@ -166,12 +165,12 @@ def test_aux_accepts_a_valid_pair_graph():
 
 
 def test_build_aux_rejects_outside_occurrence():
-    with pytest.raises(ConstraintError):
+    with pytest.raises(InputError, match="has no node in the ball"):
         build_aux([(5, 6, 7)], {0, 1}, [0, 1])
 
 
 def test_build_aux_rejects_seed_outside_ball():
-    with pytest.raises(ConstraintError):
+    with pytest.raises(InputError, match="not all inside the ball"):
         build_aux([(0, 1, 2)], {0, 1, 2}, [0, 9])
 
 

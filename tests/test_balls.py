@@ -15,36 +15,43 @@ from workloads import ring_contact_edges  # noqa: E402
 
 def test_core_numbers_single_triadic_edge():
     H = Hypergraph.from_members([[0, 1, 2]])
-    assert nbr_core_decomposition(H).core_number == (2, 2, 2)
+    assert nbr_core_decomposition(H) == (2, 2, 2)
 
 
 def test_core_numbers_path():
     H = Hypergraph.from_members([[0, 1], [1, 2]])
-    assert nbr_core_decomposition(H).core_number == (1, 1, 1)
+    assert nbr_core_decomposition(H) == (1, 1, 1)
 
 
 def test_core_numbers_triangle_with_pendant():
     H = Hypergraph.from_members([[0, 1], [1, 2], [0, 2], [2, 3]])
-    decomp = nbr_core_decomposition(H)
-    assert decomp.core_number == (2, 2, 2, 1)
-    assert decomp.max_core == 2
+    assert nbr_core_decomposition(H) == (2, 2, 2, 1)
 
 
 def test_core_nesting_and_max_degree_bound():
     rng = random.Random(5)
     for _ in range(25):
         H = random_hypergraph(rng, rng.randint(3, 11), 0.25, 0.1, big_edge_p=0.02)
-        decomp = nbr_core_decomposition(H)
-        assert decomp.max_core <= max(H.degree(v) for v in range(H.n))
-        for k in range(decomp.max_core + 1):
-            assert decomp.level_set(k + 1) <= decomp.level_set(k)
+        core = nbr_core_decomposition(H)
+        assert len(core) == H.n
+        assert max(core) <= max(map(len, H.incidence))
+        # each level set k holds every deeper one, and each of its nodes has
+        # at least k neighbors over the hyperedges inside it
+        below = set(range(H.n))
+        for k in range(1, max(core) + 1):
+            level = {v for v, c in enumerate(core) if c >= k}
+            assert level <= below
+            for v in level:
+                inside = [H.members[ei] for ei in H.incidence[v] if level.issuperset(H.members[ei])]
+                assert len(set().union(*inside)) - 1 >= k
+            below = level
 
 
 def test_core_numbers_match_brute_oracle():
     rng = random.Random(99)
     for _ in range(25):
         H = random_hypergraph(rng, rng.randint(3, 9), 0.3, 0.12, big_edge_p=0.03)
-        got = list(nbr_core_decomposition(H).core_number)
+        got = list(nbr_core_decomposition(H))
         assert got == brute_nbr_core_numbers(H)
 
 
@@ -91,16 +98,17 @@ def test_seed_bounded_peel_is_the_full_decomposition_truncated_at_the_seed_level
         full = nbr_core_decomposition(H)
         for ei in rng.sample(range(H.num_edges), min(H.num_edges, samples)):
             members = H.members[ei]
-            k_star = min(full.core_number[v] for v in members)
+            k_star = min(full[v] for v in members)
             got = nbr_core_decomposition(H, members)
-            assert got.max_core == k_star
+            assert max(got) == k_star
             # r is the level every node the restriction capped holds
-            capped = [g for g, c in zip(got.core_number, full.core_number) if g != min(c, k_star)]
+            capped = [g for g, c in zip(got, full) if g != min(c, k_star)]
             r = min(capped, default=k_star)
-            component = H.connected_component(members, within=full.level_set(r))
-            for v, c in enumerate(full.core_number):
-                assert got.core_number[v] == min(c, k_star if v in component else r)
-            truncated += k_star < full.max_core
+            level = {v for v, c in enumerate(full) if c >= r}
+            component = H.connected_component(members, within=level)
+            for v, c in enumerate(full):
+                assert got[v] == min(c, k_star if v in component else r)
+            truncated += k_star < max(full)
             restricted[H] = restricted.get(H, 0) + (r < k_star)
             for min_size in (len(members), 20, 100):
                 assert core_ball(H, members, min_size) == core_ball(H, members, min_size, full)
@@ -122,7 +130,7 @@ def test_a_pair_keeps_a_shared_dyad_when_a_third_node_kills_their_triad():
     H = Hypergraph.from_members(edges)
     want = (5, 5, 2, 5, 5, 5, 5)
     assert list(want) == brute_nbr_core_numbers(H)
-    assert nbr_core_decomposition(H).core_number == want
+    assert nbr_core_decomposition(H) == want
     assert nbr_core_decomposition(H, [3, 4]) == nbr_core_decomposition(H)
 
 
@@ -136,7 +144,7 @@ def test_a_pair_whose_shared_hyperedges_die_in_one_deletion_loses_each_other_onc
     H = Hypergraph.from_members(edges + clique_on([4, 5, 6, 7]))
     want = (4, 4, 3, 3, 4, 4, 4, 4)
     assert list(want) == brute_nbr_core_numbers(H)
-    assert nbr_core_decomposition(H).core_number == want
+    assert nbr_core_decomposition(H) == want
     assert nbr_core_decomposition(H, [4, 5]) == nbr_core_decomposition(H)
 
 
@@ -149,9 +157,9 @@ def test_core_decomposition_of_two_blobs_with_and_without_a_bridge_matches_the_r
     for bridge in ([], [(0, 60)]):
         H = Hypergraph.from_members(edges + bridge)
         assert H.n == 140
-        decomp = nbr_core_decomposition(H)
-        assert decomp == reference_nbr_core_decomposition(H)
-        assert len(set(decomp.core_number)) > 2
+        core = nbr_core_decomposition(H)
+        assert core == reference_nbr_core_decomposition(H)
+        assert len(set(core)) > 2
 
 
 def test_seed_bounded_peel_checks_the_seed_nodes():
@@ -195,6 +203,14 @@ def test_core_ball_rejects_non_edges_and_floors_min_size_at_the_seed():
             ball = core_ball(H, seed, min_size=len(seed))
             for min_size in range(1, len(seed)):
                 assert core_ball(H, seed, min_size=min_size) == ball, (H.members, seed)
+
+
+def test_core_ball_refuses_a_decomposition_of_another_hypergraph():
+    H = Hypergraph.from_members([[0, 1], [1, 2], [0, 2], [2, 3]])
+    assert core_ball(H, [0, 1], 3, (2, 2, 2, 1)) == core_ball(H, [0, 1], 3)
+    for core in ((2, 2, 2), (2, 2, 2, 1, 0)):
+        with pytest.raises(InputError, match=f"decomposition holds {len(core)} core numbers, the hypergraph 4 nodes"):
+            core_ball(H, [0, 1], 3, core)
 
 
 def test_bfs_layers_path():

@@ -104,6 +104,41 @@ def test_cluster_command_output_directory_exit_2_before_the_run(tmp_path, monkey
     assert result.stderr.splitlines() == [f"Error: report path is a directory: {out}"]
 
 
+def test_cluster_command_empty_output_exit_2_before_the_run(tmp_path, monkeypatch):
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+
+    def load_input(config):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr("motifclust.pipeline.load_input", load_input)
+    result = CliRunner().invoke(
+        main,
+        ["cluster", "--input", str(data), "--motif", "3", "--seed-edge", "index:0", "--output", ""],
+    )
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "Error: report path is empty; give a file path or '-' for stdout"
+    ]
+    assert result.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.txt"]
+
+
+def test_cluster_command_takes_a_report_path_in_the_working_directory(tmp_path, monkeypatch):
+    # a bare file name has no directory part: it names a file in the CWD
+    data = tmp_path / "toy.txt"
+    write_toy(data)
+    monkeypatch.chdir(tmp_path)
+    for out in ("r.json", str(tmp_path / "s.json")):
+        result = CliRunner().invoke(
+            main,
+            ["cluster", "--input", str(data), "--motif", "3", "--seed-edge", "index:0",
+             "--beta", "5", "--output", out],
+        )
+        assert result.exit_code == 0, result.output
+        assert read_report(out).status == "ok"
+
+
 def test_cluster_command_bad_random_count_exit_2(tmp_path):
     data = tmp_path / "toy.txt"
     write_toy(data)
@@ -118,11 +153,11 @@ def test_cluster_command_bad_random_count_exit_2(tmp_path):
 
 
 def test_cluster_option_defaults_are_the_run_config_defaults():
-    # every cluster option is a RunConfig field, and every optional one
-    # defaults to the field's default
+    # every cluster option but --output, which the CLI owns, is a RunConfig
+    # field, and every optional one defaults to the field's default
     defaults = {f.name: f.default for f in fields(RunConfig)}
     options = {p.name: p for p in cluster.params}
-    assert options.keys() == defaults.keys()
+    assert options.keys() == defaults.keys() | {"output"}
     optional = {name: p.default for name, p in options.items() if not p.required}
     assert set(optional) == {"format", "method", "alpha", "beta", "min_ball", "eps_min",
                              "eps_max", "rng_seed", "dataset"}
@@ -339,6 +374,9 @@ def test_bench_command_rejects_the_removed_scope_field(tmp_path):
         {"runs": [{"input": 5, "motif": "3", "seed_edge": "index:0"}]},
         {"csv": 7},
         {"output_dir": ["x"]},
+        {"runs": [{"input": "", "motif": "3", "seed_edge": "index:0"}]},
+        {"csv": ""},
+        {"output_dir": ""},
     ],
 )
 def test_bench_command_rejects_a_path_that_is_not_a_string(tmp_path, change):
@@ -362,7 +400,8 @@ def _invoke_bench(tmp_path, runs, **top):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("beta", "x"), ("eps_min", "0.1"), ("alpha", True), ("rng_seed", 1.5), ("eps_max", None)],
+    [("beta", "x"), ("eps_min", "0.1"), ("alpha", True), ("rng_seed", 1.5), ("eps_max", None),
+     ("dataset", 7)],
 )
 def test_bench_command_rejects_a_wrongly_typed_number(tmp_path, field, value):
     # every entry is checked before the first run: no report directory appears
@@ -385,7 +424,9 @@ def test_bench_command_rejects_output_in_a_run(tmp_path):
     result = _invoke_bench(tmp_path, [run])
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("Error:") and "'output_dir'" in result.stderr
+    # output is no run field: output_dir writes a bench run's reports
+    assert result.stderr.startswith("Error: bad run entry")
+    assert "unexpected keyword argument 'output'" in result.stderr
     assert not (tmp_path / "one.json").exists()
 
 
@@ -393,8 +434,11 @@ def test_bench_command_rejects_output_in_a_run(tmp_path):
     "paths",
     [
         {"csv": "missing/bench.csv", "output_dir": "reports"},
-        {"csv": "taken"},  # a directory: caught when the CSV is written
+        {"csv": "taken"},  # an existing directory
         {"output_dir": "toy.txt", "csv": "bench.csv"},  # names an existing file
+        {"csv": "taken", "output_dir": "reports"},
+        {"csv": "", "output_dir": "reports"},  # would name the config's directory
+        {"csv": "bench.csv", "output_dir": ""},  # would write reports next to the config
     ],
 )
 def test_bench_command_bad_output_path(tmp_path, paths):
@@ -409,6 +453,7 @@ def test_bench_command_bad_output_path(tmp_path, paths):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert not (tmp_path / "bench.csv").exists()
     assert not (tmp_path / "reports").exists()  # a missing CSV directory stops every run
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json", "taken", "toy.txt"]
 
 
 def test_bench_command_rejects_an_unknown_motif_before_any_run(tmp_path, monkeypatch):

@@ -23,11 +23,8 @@ from motifclust.testing import (
 def test_pattern_table():
     flags = {(p.has_triadic, p.dyad_count) for p in MotifPattern}
     assert flags == {(False, 2), (False, 3), (True, 0), (True, 1), (True, 2), (True, 3)}
-    assert MotifPattern.from_flags(False, 0) is None
-    assert MotifPattern.from_flags(False, 1) is None
     assert MotifPattern.from_spec("4") is MotifPattern.IV
     assert MotifPattern.from_spec("vi") is MotifPattern.VI
-    assert MotifPattern.VI.number == 6
     with pytest.raises(InputError):
         MotifPattern.from_spec("7")
 
@@ -175,7 +172,7 @@ def test_triads_with_dyads_partitions_the_triads_by_classification():
         assert len(flat) == len(set(flat))
         assert set(flat) == H.triads
         for d, group in enumerate(groups):
-            pattern = MotifPattern.from_flags(True, d)
+            pattern = MotifPattern((True, d))
             assert all(classify_triple(H, *t) is pattern for t in group)
             checked[d] += len(group)
     assert min(checked) > 0

@@ -6,7 +6,6 @@ import pytest
 
 import motifclust.partition as mp
 from motifclust import (
-    ConstraintError,
     Hypergraph,
     InputError,
     MotifPattern,
@@ -74,7 +73,7 @@ def test_cut_net_toy():
     aux = toy_aux()
     assert cut_net(aux, [0, 0, 0, 1]) == 1
     assert cut_net(aux, [0, 0, 1, 1]) == 1
-    with pytest.raises(ConstraintError):
+    with pytest.raises(InputError, match="both blocks must be nonempty"):
         cut_net(aux, [0, 0, 0, 0])
     for bad in ("x", None):
         with pytest.raises(InputError, match="block values must be 0 or 1"):
@@ -134,8 +133,29 @@ def test_random_feasible_partition_falls_back_when_no_draw_fits():
 
 def test_random_feasible_partition_infeasible_seeds():
     aux = aux_from_hyperedges(4, [((0, 4), 1)], seed_nodes=[0, 1, 2, 3])
-    with pytest.raises(ConstraintError):
+    with pytest.raises(InputError, match="4 seed nodes exceed the block size bound 3"):
         random_feasible_partition(aux, 0.01, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: build_aux([(0, 1, 2)], {0, 1, 2}, [0, 9]), "not all inside the ball"),
+        (lambda: build_aux([(5, 6, 7)], {0, 1}, [0, 1]), "has no node in the ball"),
+        (
+            lambda: random_feasible_partition(
+                aux_from_hyperedges(4, [((0, 4), 1)], seed_nodes=[0, 1, 2, 3]), 0.01, random.Random(0)
+            ),
+            "exceed the block size bound",
+        ),
+        (lambda: cut_net(toy_aux(), [0, 0, 0, 0]), "both blocks must be nonempty"),
+    ],
+    ids=["seed-outside-ball", "occurrence-outside-ball", "seeds-above-cap", "one-block-split"],
+)
+def test_caller_input_refusals_raise_input_error(refuse, message):
+    # the library has one caller-input error type, the one the CLI maps to exit 2
+    with pytest.raises(InputError, match=message):
+        refuse()
 
 
 def test_fm_refine_never_increases_cut():

@@ -135,15 +135,6 @@ def test_pipeline_rejects_a_winner_its_recount_disagrees_with(tmp_path, monkeypa
         run_local_clustering(toy_config(tmp_path))
 
 
-def test_pipeline_writes_report(tmp_path):
-    out = tmp_path / "report.json"
-    config = toy_config(tmp_path, output=str(out))
-    run_local_clustering(config)
-    from motifclust import read_report
-
-    assert read_report(out).dataset == "toy"
-
-
 def test_config_validation(tmp_path):
     with pytest.raises(InputError):
         run_local_clustering(toy_config(tmp_path, method="dfs"))
@@ -340,18 +331,6 @@ def test_bench_overall_row_averages_the_exact_phis(tmp_path, monkeypatch):
     assert result.rows[-1]["graph"] == "Overall"
 
 
-def test_bench_refuses_a_config_with_an_output_before_any_run(tmp_path, monkeypatch):
-    # every query of a bench entry would write the same file; output_dir
-    # names each query's report instead
-    loads = []
-    monkeypatch.setattr(mpipe, "_load", lambda config: loads.append(config))
-    out = tmp_path / "one.json"
-    configs = [toy_config(tmp_path), toy_config(tmp_path, output=str(out))]
-    with pytest.raises(InputError, match="'output_dir' writes its reports"):
-        run_benchmark(configs)
-    assert not loads and not out.exists()
-
-
 def test_bench_names_a_failed_query_by_its_loaded_dataset(tmp_path):
     # a query that fails after its input loaded (here a seed edge too large
     # for one block of the ball FM searches) is named as the entry's other
@@ -411,14 +390,6 @@ def test_run_benchmark_fails_a_run_whose_report_cannot_be_written(tmp_path):
     for _, _, error in result.failures:
         assert error.startswith("cannot write report:") and error.endswith(f"[{path}]")
     assert [r["phi"] for r in result.rows] == ["", ""]
-
-
-def test_run_config_checks_the_report_directory(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    toy_config(tmp_path, output="r.json").validate()  # no directory: the CWD
-    toy_config(tmp_path, output=str(tmp_path / "r.json")).validate()
-    with pytest.raises(InputError, match="report directory does not exist"):
-        toy_config(tmp_path, output=str(tmp_path / "missing" / "r.json")).validate()
 
 
 def test_dataset_smaller_than_min_ball_still_completes(tmp_path):
